@@ -1,6 +1,6 @@
 #include "commit/peer.hpp"
 
-#include <cassert>
+#include <algorithm>
 
 #include "commit/commit_model.hpp"
 
@@ -19,8 +19,7 @@ CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
-      machine_(machine),
-      driver_factory_(make_interpreter_driver_factory(machine)),
+      table_(CommitTable::for_machine(machine)),
       behaviour_(behaviour),
       trace_(trace) {
   if (attach_to_network) {
@@ -29,6 +28,28 @@ CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
                       handle(from, data);
                     });
   }
+}
+
+bool CommitPeer::SenderSet::insert(sim::NodeAddr addr) {
+  if (addr < 64) {
+    const std::uint64_t bit = std::uint64_t{1} << addr;
+    const bool fresh = (low_ & bit) == 0;
+    low_ |= bit;
+    return fresh;
+  }
+  if (std::find(high_.begin(), high_.end(), addr) != high_.end()) {
+    return false;
+  }
+  high_.push_back(addr);
+  return true;
+}
+
+std::vector<std::uint64_t> CommitPeer::sorted_guids() const {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(guids_.size());
+  for (const auto& [guid, ctx] : guids_) keys.push_back(guid);
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 const std::vector<CommitPeer::CommittedEntry>& CommitPeer::history(
@@ -43,9 +64,10 @@ bool CommitPeer::import_history(std::uint64_t guid,
   if (!ctx.committed.empty()) return false;
   ctx.committed = std::move(entries);
   // The imported updates are settled; make sure late protocol traffic for
-  // them is absorbed rather than re-run.
+  // them is absorbed rather than re-run (and recorded a second time).
   for (const CommittedEntry& e : ctx.committed) {
     ctx.instances.erase(e.update_id);
+    ctx.settled.insert(e.update_id);
   }
   if (import_sink_) import_sink_(guid, ctx.committed);
   return true;
@@ -87,7 +109,7 @@ std::size_t CommitPeer::live_instances(std::uint64_t guid) const {
   if (it == guids_.end()) return 0;
   std::size_t n = 0;
   for (const auto& [uid, inst] : it->second.instances) {
-    if (!inst.fsm->finished()) ++n;
+    if (!inst.fsm.finished()) ++n;
   }
   return n;
 }
@@ -99,12 +121,13 @@ std::size_t CommitPeer::resident_instances(std::uint64_t guid) const {
 
 std::size_t CommitPeer::collect_finished() {
   std::size_t released = 0;
-  for (auto& [guid, ctx] : guids_) {
+  for (const std::uint64_t guid : sorted_guids()) {
+    GuidContext& ctx = guids_.at(guid);
     for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
       Instance& inst = it->second;
       // Only fully processed instances are collectable: finished, recorded,
       // and with no completion notification still owed to a client.
-      if (inst.fsm->finished() && inst.recorded &&
+      if (inst.fsm.finished() && inst.recorded &&
           !inst.client.has_value()) {
         ctx.settled.insert(it->first);
         it = ctx.instances.erase(it);
@@ -159,15 +182,15 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
     return inst;
   }
   auto [pos, inserted] = ctx.instances.emplace(
-      update_id, Instance{driver_factory_(), msg.request_id, msg.payload,
-                          {}, {}, std::nullopt,
+      update_id, Instance{fsm::CompiledInstance(table_->machine()),
+                          msg.request_id, msg.payload, {}, {}, std::nullopt,
                           network_.scheduler().now(), false});
   Instance& inst = pos->second;
   // The abstract model's start state assumes the node is free; if another
   // update already holds the node lock for this GUID, lock the new machine
   // immediately (this is how could_choose is initialised in deployment).
   if (ctx.chosen_update.has_value() && *ctx.chosen_update != update_id) {
-    (void)inst.fsm->deliver(kNotFree);
+    (void)inst.fsm.deliver(kNotFree);
   }
   if (trace_ != nullptr) {
     trace_->record(network_.scheduler().now(), self_, "instance",
@@ -231,7 +254,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       ++stats_.votes_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.voters.insert(from).second && hardening_.dedup_protocol)) {
+          (!inst.voters.insert(from) && hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;  // One vote per member per update.
         break;
       }
@@ -242,7 +265,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       ++stats_.commits_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.committers.insert(from).second &&
+          (!inst.committers.insert(from) &&
            hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;
         break;
@@ -265,21 +288,22 @@ void CommitPeer::run_queue(GuidContext& ctx, std::uint64_t guid) {
   // All entries queued while draining refer to sibling instances of the
   // same GUID: internal free/not_free fan-out never crosses GUIDs.
   draining_ = true;
-  while (!local_queue_.empty()) {
-    const auto [update_id, message] = local_queue_.front();
-    local_queue_.pop_front();
+  while (local_head_ < local_queue_.size()) {
+    const auto [update_id, message] = local_queue_[local_head_++];
     const auto it = ctx.instances.find(update_id);
     if (it == ctx.instances.end()) continue;
-    const fsm::ActionList actions = it->second.fsm->deliver(message);
-    execute_actions(ctx, guid, update_id, actions);
+    execute_actions(ctx, guid, update_id, it->second.fsm.deliver(message));
     check_finished(ctx, guid, update_id);
   }
+  local_queue_.clear();
+  local_head_ = 0;
   draining_ = false;
 }
 
 void CommitPeer::broadcast(const WireMessage& msg) {
-  const std::vector<sim::NodeAddr> resolved =
-      resolver_ ? resolver_(msg.guid) : peers_;
+  std::vector<sim::NodeAddr> looked_up;
+  if (resolver_) looked_up = resolver_(msg.guid);
+  const std::vector<sim::NodeAddr>& resolved = resolver_ ? looked_up : peers_;
   for (sim::NodeAddr peer : resolved) {
     if (peer == self_) continue;
     if (behaviour_ == Behaviour::kWithholder &&
@@ -299,41 +323,48 @@ void CommitPeer::broadcast(const WireMessage& msg) {
 
 void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
                                  std::uint64_t update_id,
-                                 const fsm::ActionList& actions) {
+                                 fsm::CompiledInstance::Delivery actions) {
   Instance& inst = ctx.instances.at(update_id);
-  for (const std::string& action : actions) {
-    if (action == kActionVote) {
-      ++stats_.votes_sent;
-      broadcast({WireMessage::Kind::kVote, guid, update_id, inst.request_id,
-                 inst.payload});
-    } else if (action == kActionCommit) {
-      ++stats_.commits_sent;
-      // Phase boundary: the vote collected enough siblings to choose this
-      // update; everything from here to the recorded commit is the quorum
-      // phase.
-      if (spans_ != nullptr) {
-        const sim::Time now = network_.scheduler().now();
-        if (spans_->is_open(inst.vote_span)) {
-          spans_->close(inst.vote_span, now, true);
+  for (std::uint32_t i = 0; i < actions.count; ++i) {
+    switch (table_->action(actions.ids[i])) {
+      case PeerAction::kVote:
+        ++stats_.votes_sent;
+        broadcast({WireMessage::Kind::kVote, guid, update_id, inst.request_id,
+                   inst.payload});
+        break;
+      case PeerAction::kCommit:
+        ++stats_.commits_sent;
+        // Phase boundary: the vote collected enough siblings to choose this
+        // update; everything from here to the recorded commit is the quorum
+        // phase.
+        if (spans_ != nullptr) {
+          const sim::Time now = network_.scheduler().now();
+          if (spans_->is_open(inst.vote_span)) {
+            spans_->close(inst.vote_span, now, true);
+          }
+          if (inst.quorum_span == 0) {
+            inst.quorum_span =
+                spans_->open("quorum", 0, self_, std::to_string(guid),
+                             inst.request_id, update_id, now);
+          }
         }
-        if (inst.quorum_span == 0) {
-          inst.quorum_span =
-              spans_->open("quorum", 0, self_, std::to_string(guid),
-                           inst.request_id, update_id, now);
+        broadcast({WireMessage::Kind::kCommit, guid, update_id,
+                   inst.request_id, inst.payload});
+        break;
+      case PeerAction::kNotFree:
+        ctx.chosen_update = update_id;
+        // not_free never triggers further actions, so queued delivery is safe.
+        for (auto& [uid, sibling] : ctx.instances) {
+          if (uid == update_id || sibling.fsm.finished()) continue;
+          local_queue_.emplace_back(uid, kNotFree);
         }
-      }
-      broadcast({WireMessage::Kind::kCommit, guid, update_id,
-                 inst.request_id, inst.payload});
-    } else if (action == kActionNotFree) {
-      ctx.chosen_update = update_id;
-      // not_free never triggers further actions, so queued delivery is safe.
-      for (auto& [uid, sibling] : ctx.instances) {
-        if (uid == update_id || sibling.fsm->finished()) continue;
-        local_queue_.emplace_back(uid, kNotFree);
-      }
-    } else if (action == kActionFree) {
-      if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
-      free_siblings(ctx, guid, update_id);
+        break;
+      case PeerAction::kFree:
+        if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
+        free_siblings(ctx, guid, update_id);
+        break;
+      case PeerAction::kNone:
+        break;
     }
   }
 }
@@ -348,14 +379,13 @@ void CommitPeer::free_siblings(GuidContext& ctx, std::uint64_t guid,
   std::vector<std::uint64_t> uids;
   uids.reserve(ctx.instances.size());
   for (const auto& [uid, sibling] : ctx.instances) {
-    if (uid != source && !sibling.fsm->finished()) uids.push_back(uid);
+    if (uid != source && !sibling.fsm.finished()) uids.push_back(uid);
   }
   for (const std::uint64_t uid : uids) {
     if (ctx.chosen_update.has_value()) break;  // Lock retaken.
     const auto it = ctx.instances.find(uid);
-    if (it == ctx.instances.end() || it->second.fsm->finished()) continue;
-    const fsm::ActionList actions = it->second.fsm->deliver(kFree);
-    execute_actions(ctx, guid, uid, actions);
+    if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
+    execute_actions(ctx, guid, uid, it->second.fsm.deliver(kFree));
     check_finished(ctx, guid, uid);
   }
 }
@@ -365,7 +395,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
   const auto it = ctx.instances.find(update_id);
   if (it == ctx.instances.end()) return;
   Instance& inst = it->second;
-  if (!inst.fsm->finished()) return;
+  if (!inst.fsm.finished()) return;
   if (!inst.recorded) {
     if (commit_sink_ &&
         !commit_sink_(guid,
@@ -478,11 +508,12 @@ void CommitPeer::cancel_abort_scan() {
 
 void CommitPeer::abort_scan(sim::Time max_age) {
   const sim::Time now = network_.scheduler().now();
-  for (auto& [guid, ctx] : guids_) {
+  for (const std::uint64_t guid : sorted_guids()) {
+    GuidContext& ctx = guids_.at(guid);
     for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
       Instance& inst = it->second;
       const bool stalled =
-          !inst.fsm->finished() && now - inst.created > max_age;
+          !inst.fsm.finished() && now - inst.created > max_age;
       if (!stalled) {
         ++it;
         continue;
@@ -524,7 +555,7 @@ void CommitPeer::abort_scan(sim::Time max_age) {
   bool any_live = false;
   for (const auto& [guid, ctx] : guids_) {
     for (const auto& [uid, inst] : ctx.instances) {
-      if (!inst.fsm->finished()) {
+      if (!inst.fsm.finished()) {
         any_live = true;
         break;
       }

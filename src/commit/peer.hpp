@@ -1,9 +1,9 @@
 // A peer-set member executing the commit protocol (paper section 2.2).
 //
-// Each member hosts one machine instance per ongoing update per GUID,
-// executed through a pluggable driver (interpreted over the shared
-// generated StateMachine by default; statically compiled or dynamically
-// loaded generated code via set_driver_factory — paper section 4.3). The
+// Each member hosts one machine instance per ongoing update per GUID: an
+// fsm::CompiledInstance over the generated machine's shared compiled table
+// (commit/commit_table.hpp), stored inline with its distinct-sender vote
+// and commit sets, so a delivered message allocates nothing. The
 // free/not_free messages of the abstract model are node-internal: when one
 // instance chooses its update it locks the node (not_free delivered to its
 // siblings); when the chosen update finishes it frees the node again.
@@ -15,14 +15,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
-#include "commit/driver.hpp"
+#include "commit/commit_table.hpp"
 #include "commit/messages.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -73,7 +74,9 @@ class CommitPeer {
       std::function<std::vector<sim::NodeAddr>(std::uint64_t guid)>;
 
   /// `machine` must be the merged commit FSM for the peer set's replication
-  /// factor and must outlive the peer. `peers` lists every member of the
+  /// factor; the peer runs it through the table commit::MachineCache
+  /// published for it (or compiles its own for a machine from elsewhere)
+  /// and keeps no reference to it. `peers` lists every member of the
   /// peer set including this one. With `attach_to_network` false the peer
   /// does not claim the network address; a host must feed it frames through
   /// handle_frame() (used when commit and storage traffic share one node).
@@ -111,14 +114,6 @@ class CommitPeer {
   /// hardened). Only the composition replay harness uses non-default
   /// values, to mirror mutations the model checker injects.
   void set_hardening(PeerHardening hardening) { hardening_ = hardening; }
-
-  /// Replace how machine instances execute (paper section 4.3): by default
-  /// new instances interpret the shared generated StateMachine; a custom
-  /// factory can supply statically compiled generated code or dynamically
-  /// loaded machines instead. Affects instances created afterwards.
-  void set_driver_factory(DriverFactory factory) {
-    driver_factory_ = std::move(factory);
-  }
 
   CommitPeer(const CommitPeer&) = delete;
   CommitPeer& operator=(const CommitPeer&) = delete;
@@ -205,12 +200,25 @@ class CommitPeer {
   void enable_abort(sim::Time scan_interval, sim::Time max_age);
 
  private:
+  /// Distinct message senders. Addresses below 64 — every peer-set member
+  /// in the simulated deployments — are bits of one word; any other
+  /// address spills to a list that otherwise never allocates.
+  class SenderSet {
+   public:
+    /// False if `addr` was already present.
+    bool insert(sim::NodeAddr addr);
+
+   private:
+    std::uint64_t low_ = 0;
+    std::vector<sim::NodeAddr> high_;
+  };
+
   struct Instance {
-    std::unique_ptr<CommitFsmDriver> fsm;
+    fsm::CompiledInstance fsm;
     std::uint64_t request_id = 0;
     std::uint64_t payload = 0;
-    std::set<sim::NodeAddr> voters;      // Distinct vote senders.
-    std::set<sim::NodeAddr> committers;  // Distinct commit senders.
+    SenderSet voters;      // Distinct vote senders.
+    SenderSet committers;  // Distinct commit senders.
     std::optional<sim::NodeAddr> client; // Who to notify on completion.
     sim::Time created = 0;
     bool recorded = false;               // Appended to committed history.
@@ -218,7 +226,8 @@ class CommitPeer {
     std::uint64_t quorum_span = 0;  // "quorum" span id (0 = none).
   };
   struct GuidContext {
-    std::map<std::uint64_t, Instance> instances;  // By update_id.
+    std::map<std::uint64_t, Instance> instances;  // By update_id, ascending
+                                                  // for the sibling fan-out.
     std::optional<std::uint64_t> chosen_update;   // Node lock holder.
     std::vector<CommittedEntry> committed;        // Local commit order.
     std::set<std::uint64_t> settled;  // Finished & garbage-collected ids:
@@ -238,7 +247,7 @@ class CommitPeer {
   void run_queue(GuidContext& ctx, std::uint64_t guid);
   void execute_actions(GuidContext& ctx, std::uint64_t guid,
                        std::uint64_t update_id,
-                       const fsm::ActionList& actions);
+                       fsm::CompiledInstance::Delivery actions);
   /// Offer a freed node lock to pending siblings, one at a time, stopping
   /// as soon as one of them chooses (retakes the lock).
   void free_siblings(GuidContext& ctx, std::uint64_t guid,
@@ -250,6 +259,9 @@ class CommitPeer {
   Instance& instance(GuidContext& ctx, std::uint64_t guid,
                      std::uint64_t update_id, const WireMessage& msg);
 
+  /// Known GUIDs in ascending order, for scans whose effects are ordered.
+  [[nodiscard]] std::vector<std::uint64_t> sorted_guids() const;
+
   void abort_scan(sim::Time max_age);
   void arm_abort_scan();
   void cancel_abort_scan();
@@ -258,8 +270,7 @@ class CommitPeer {
   sim::NodeAddr self_;
   std::vector<sim::NodeAddr> peers_;  // Including self_.
   PeerResolver resolver_;
-  const fsm::StateMachine& machine_;
-  DriverFactory driver_factory_;
+  std::shared_ptr<const CommitTable> table_;
   Behaviour behaviour_;
   PeerHardening hardening_;
   sim::Trace* trace_;
@@ -270,8 +281,11 @@ class CommitPeer {
   AckSink ack_sink_;
   ImportSink import_sink_;
   PeerStats stats_;
-  std::map<std::uint64_t, GuidContext> guids_;
-  std::deque<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;
+  std::unordered_map<std::uint64_t, GuidContext> guids_;
+  // Internal free/not_free deliveries awaiting run_queue, consumed from
+  // local_head_; storage is reused once drained.
+  std::vector<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;
+  std::size_t local_head_ = 0;
   bool draining_ = false;
   std::set<UpdateKey> equivocated_;  // Equivocator: one blast per update.
   sim::Time abort_interval_ = 0;

@@ -222,18 +222,40 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
   const LatencyModel& latency =
       ls.profile.has_value() ? ls.profile->latency : latency_;
   const Time jitter = ls.profile.has_value() ? ls.profile->jitter : 0;
-  for (int copy = 0; copy < copies; ++copy) {
+  auto schedule_copy = [&](std::string copy_payload) {
     Time delay =
         latency.min_latency == latency.max_latency
             ? latency.min_latency
             : latency.min_latency +
                   ls.rng.below(latency.max_latency - latency.min_latency + 1);
     if (jitter > 0) delay += ls.rng.below(jitter + 1);
-    sched_.schedule_after(delay, [this, from, to, payload, id, sent_at] {
-      deliver_copy(from, to, payload, id, sent_at);
-    });
-  }
+    const std::uint32_t slot =
+        park({from, to, std::move(copy_payload), id, sent_at});
+    sched_.schedule_after(delay, [this, slot] { deliver_parked(slot); });
+  };
+  // A duplicate's first copy copies the payload; the last copy takes it.
+  if (copies == 2) schedule_copy(payload);
+  schedule_copy(std::move(payload));
   return id;
+}
+
+std::uint32_t Network::park(PendingMessage message) {
+  if (free_in_flight_.empty()) {
+    in_flight_.push_back(std::move(message));
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[slot] = std::move(message);
+  return slot;
+}
+
+void Network::deliver_parked(std::uint32_t slot) {
+  // Move the copy out first: the handler may send, which can reuse the
+  // slot or reallocate the slab.
+  const PendingMessage msg = std::move(in_flight_[slot]);
+  free_in_flight_.push_back(slot);
+  deliver_copy(msg.from, msg.to, msg.payload, msg.id, msg.sent_at);
 }
 
 void Network::deliver_pending(std::size_t index) {

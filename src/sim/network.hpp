@@ -266,6 +266,13 @@ class Network {
   void deliver_copy(NodeAddr from, NodeAddr to, const std::string& payload,
                     std::uint64_t id, Time sent_at);
 
+  /// Park a message copy in the in-flight slab until its delivery event;
+  /// the event then captures only the slot index, which keeps the closure
+  /// within std::function's inline storage.
+  std::uint32_t park(PendingMessage message);
+  /// Release a parked copy and deliver it.
+  void deliver_parked(std::uint32_t slot);
+
   Scheduler& sched_;
   std::uint64_t link_seed_base_;
   LatencyModel latency_;
@@ -273,6 +280,8 @@ class Network {
   double duplicate_probability_ = 0.0;
   bool manual_mode_ = false;
   std::vector<PendingMessage> pending_;
+  std::vector<PendingMessage> in_flight_;  // Scheduled copies, by slot.
+  std::vector<std::uint32_t> free_in_flight_;
   std::unordered_map<NodeAddr, Handler> handlers_;
   std::set<std::pair<NodeAddr, NodeAddr>> partitions_;
   std::map<std::pair<NodeAddr, NodeAddr>, LinkState> links_;

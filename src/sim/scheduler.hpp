@@ -5,11 +5,22 @@
 // fault injection, message reordering, and deadlock scenarios are exactly
 // reproducible. Events fire in (time, sequence) order, so ties are broken
 // by scheduling order and runs are deterministic for a fixed seed.
+//
+// The pending-event set is a timing wheel: one FIFO bucket per microsecond
+// over a fixed power-of-two window [base, base + kWheelSpan), threaded
+// through a slab of event slots that own the moved-in actions, with an
+// occupancy bitmap to find the next non-empty bucket. Every event in the
+// window has a distinct bucket per time, and ids only grow, so a bucket's
+// FIFO order is its id order. Events outside the window — beyond its end,
+// or before its base (scheduled in the past) — wait in a (time, id)
+// min-heap of slot references; far events migrate into the wheel the
+// moment the window moves over them, before anything else can be
+// scheduled into their bucket. Together the two give exactly the (time,
+// id) order of a single priority queue, without ever copying an action.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -34,20 +45,19 @@ class Scheduler {
  public:
   using Action = std::function<void()>;
 
+  /// Width of the timing wheel in 1 µs buckets (a power of two). Events
+  /// further ahead than this wait in the overflow heap.
+  static constexpr Time kWheelSpan = 8192;
+
+  Scheduler();
+
   /// Current simulated time.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedule `action` to run at absolute time `when` (must be >= now()).
-  /// Returns an id usable with cancel().
-  std::uint64_t schedule_at(Time when, Action action) {
-    const std::uint64_t id = next_id_++;
-    queue_.push(Event{when, id, std::move(action)});
-    ++stats_.scheduled;
-    if (queue_.size() > stats_.max_queue_depth) {
-      stats_.max_queue_depth = queue_.size();
-    }
-    return id;
-  }
+  /// Schedule `action` to run at absolute time `when`. An event in the
+  /// past still runs in (time, id) order — before everything later — and
+  /// sets the clock back to its time. Returns an id usable with cancel().
+  std::uint64_t schedule_at(Time when, Action action);
 
   /// Schedule `action` to run `delay` after the current time.
   std::uint64_t schedule_after(Time delay, Action action) {
@@ -69,28 +79,67 @@ class Scheduler {
   std::size_t run(std::size_t max_events = 50'000'000);
 
   /// Pending (not yet fired, possibly cancelled) event count.
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
 
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
 
  private:
-  struct Event {
+  static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
+  static constexpr Time kWheelMask = kWheelSpan - 1;
+  static constexpr std::size_t kBitmapWords = kWheelSpan / 64;
+  static_assert((kWheelSpan & kWheelMask) == 0 && kWheelSpan >= 64,
+                "the wheel span must be a power of two of at least 64");
+
+  /// One pending event. `next` links the bucket FIFO or the free list.
+  struct Slot {
+    Action action;
+    Time when = 0;
+    std::uint64_t id = 0;
+    std::uint32_t next = kNil;
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  /// An event outside the wheel window, ordered by (when, id).
+  struct Overflow {
     Time when;
     std::uint64_t id;
-    Action action;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
-    }
-  };
+
+  [[nodiscard]] bool in_window(Time when) const {
+    return when >= base_ && when - base_ < kWheelSpan;
+  }
+  void push_bucket(std::uint32_t slot);
+  void push_overflow(std::uint32_t slot);
+  /// Bucket index of the earliest wheel event (the wheel must be
+  /// non-empty): the first occupied bucket at or after the base's,
+  /// circularly.
+  [[nodiscard]] std::uint32_t first_bucket() const;
+  /// Slot of the earliest pending event, or kNil when none is pending.
+  [[nodiscard]] std::uint32_t peek() const;
+  /// Unlink the earliest pending event (`slot`, as returned by peek()),
+  /// moving the window base up to its time when it is not in the past.
+  void pop(std::uint32_t slot);
+  /// Move the window base forward to `base` and pull every overflow event
+  /// the window now covers into its bucket.
+  void advance_to(Time base);
+  /// Pop the earliest event and run it unless cancelled; true if it ran.
+  bool fire_next();
 
   bool is_cancelled(std::uint64_t id);
 
   Time now_ = 0;
   std::uint64_t next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  Time base_ = 0;
+  std::size_t pending_ = 0;
+  std::size_t wheel_count_ = 0;
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNil;  // Head of the free-slot list.
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint64_t> occupied_;  // One bit per non-empty bucket.
+  std::vector<Overflow> overflow_;       // Min-heap by (when, id).
   // Cancelled-but-not-yet-fired ids. O(1) lookup/erase: endpoint retry
   // timers make cancel-then-fire a hot path under chaos fault load, where
   // the former linear scan was quadratic in outstanding timeouts.

@@ -140,6 +140,29 @@ TEST(Peer, ImportHistoryOnlyIntoEmpty) {
   EXPECT_EQ(h.peer->history(kGuid).size(), 2u);
 }
 
+TEST(Peer, ImportedUpdatesAbsorbLateTraffic) {
+  // A replacement member bootstraps update 10 from its peers; the quorum's
+  // votes and commits for it are still in flight. They must be absorbed as
+  // for a settled update, not open a fresh instance that records update 10
+  // a second time.
+  PeerHarness h;
+  ASSERT_TRUE(h.peer->import_history(kGuid, {{10, 10, 100}}));
+  h.send(1, WireMessage::Kind::kVote, 10);
+  h.send(2, WireMessage::Kind::kVote, 10);
+  h.send(3, WireMessage::Kind::kVote, 10);
+  h.send(1, WireMessage::Kind::kCommit, 10);
+  h.send(2, WireMessage::Kind::kCommit, 10);
+  EXPECT_EQ(h.peer->history(kGuid).size(), 1u);
+  EXPECT_EQ(h.peer->resident_instances(kGuid), 0u);
+  EXPECT_EQ(h.peer->stats().committed, 0u);
+  // A resent update request is re-confirmed from the imported record.
+  h.send(100, WireMessage::Kind::kUpdate, 10);
+  ASSERT_EQ(h.client_inbox.size(), 1u);
+  EXPECT_EQ(h.client_inbox[0].kind, WireMessage::Kind::kCommitted);
+  EXPECT_EQ(h.client_inbox[0].update_id, 10u);
+  EXPECT_EQ(h.peer->history(kGuid).size(), 1u);
+}
+
 TEST(Peer, CrashBehaviourIsSilent) {
   PeerHarness h(4, Behaviour::kCrash);
   h.send(100, WireMessage::Kind::kUpdate, 1);

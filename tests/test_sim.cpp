@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <queue>
 #include <set>
 #include <sstream>
 #include <string>
@@ -367,6 +368,278 @@ TEST(Scheduler, CancelFromWithinEvent) {
   sched.schedule_at(10, [&] { sched.cancel(victim); });
   sched.run();
   EXPECT_FALSE(fired);
+}
+
+// ---- Scheduler conformance against a reference priority queue ----
+
+/// The reference semantics: one priority queue over (when, id) holding the
+/// actions, a cancelled-id set consumed at fire, and the same statistics.
+/// The timing-wheel Scheduler must be indistinguishable from it.
+class ReferenceScheduler {
+ public:
+  using Action = std::function<void()>;
+
+  [[nodiscard]] Time now() const { return now_; }
+
+  std::uint64_t schedule_at(Time when, Action action) {
+    const std::uint64_t id = next_id_++;
+    queue_.push(Event{when, id, std::move(action)});
+    ++stats_.scheduled;
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
+    return id;
+  }
+  std::uint64_t schedule_after(Time delay, Action action) {
+    return schedule_at(now_ + delay, std::move(action));
+  }
+  void cancel(std::uint64_t id) {
+    if (cancelled_.insert(id).second) ++stats_.cancelled;
+  }
+
+  std::size_t run_until(Time deadline) {
+    std::size_t executed = 0;
+    while (!queue_.empty() && queue_.top().when <= deadline) {
+      if (fire()) ++executed;
+    }
+    stats_.executed += executed;
+    if (now_ < deadline && queue_.empty()) now_ = deadline;
+    return executed;
+  }
+  std::size_t run(std::size_t max_events = 50'000'000) {
+    std::size_t executed = 0;
+    while (!queue_.empty() && executed < max_events) {
+      if (fire()) ++executed;
+    }
+    stats_.executed += executed;
+    return executed;
+  }
+
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
+
+ private:
+  struct Event {
+    Time when;
+    std::uint64_t id;
+    Action action;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.id > b.id;
+    }
+  };
+
+  bool fire() {
+    Event ev = queue_.top();
+    queue_.pop();
+    if (cancelled_.erase(ev.id) > 0) {
+      ++stats_.discarded;
+      return false;
+    }
+    now_ = ev.when;
+    ev.action();
+    return true;
+  }
+
+  Time now_ = 0;
+  std::uint64_t next_id_ = 1;
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::set<std::uint64_t> cancelled_;
+  SchedulerStats stats_;
+};
+
+/// A seeded random script over one scheduler: schedules at past, present,
+/// in-window, window-edge and far times (beyond 2^32 too), cancels
+/// pending, fired and unknown ids, and interleaves run_until and bounded
+/// run calls; fired events log (label, now()) and continue the script from
+/// inside the action. Two schedulers with the same (when, id) semantics
+/// consume the random stream identically and produce identical logs.
+template <class Sched>
+class SchedulerScript {
+ public:
+  explicit SchedulerScript(std::uint64_t seed) : rng_(seed) {}
+
+  void play(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      switch (rng_.below(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          schedule_one();
+          break;
+        case 4:
+          cancel_one();
+          break;
+        case 5:
+        case 6:
+          run_until_one();
+          break;
+        case 7:
+          ran_.push_back(sched_.run(1 + rng_.below(40)));
+          break;
+        default:
+          break;
+      }
+      depths_.push_back(sched_.pending());
+    }
+    ran_.push_back(sched_.run());
+  }
+
+  [[nodiscard]] const Sched& sched() const { return sched_; }
+  std::vector<std::pair<int, Time>> log;
+  std::vector<std::uint64_t> ids;
+
+  [[nodiscard]] const std::vector<std::size_t>& ran() const { return ran_; }
+  [[nodiscard]] const std::vector<std::size_t>& depths() const {
+    return depths_;
+  }
+
+ private:
+  static constexpr Time kSpan = Scheduler::kWheelSpan;
+
+  Time pick_time() {
+    const Time now = sched_.now();
+    switch (rng_.below(8)) {
+      case 0:  // In the past.
+        return now - rng_.below(std::min<Time>(now, 3 * kSpan) + 1);
+      case 1:
+        return now;
+      case 2:  // Inside the window.
+        return now + rng_.below(kSpan);
+      case 3:  // Around the window edge.
+        return now + kSpan - 2 + rng_.below(4);
+      case 4:  // Beyond the window.
+        return now + kSpan + rng_.below(4 * kSpan);
+      case 5:  // Beyond 2^32 microseconds ahead.
+        return now + (Time{1} << 32) + rng_.below(kSpan);
+      case 6:  // An absolute time far out.
+        return (Time{1} << 33) + rng_.below(Time{1} << 20);
+      default:  // Close ties.
+        return now + rng_.below(4);
+    }
+  }
+
+  void schedule_one() {
+    const int label = next_label_++;
+    auto action = [this, label] { fire(label); };
+    ids.push_back(rng_.below(4) == 0 ? sched_.schedule_after(0, action)
+                                     : sched_.schedule_at(pick_time(), action));
+  }
+
+  void cancel_one() {
+    if (ids.empty() || rng_.below(5) == 0) {
+      sched_.cancel(1'000'000 + rng_.below(100));  // Unknown id.
+    } else {
+      sched_.cancel(ids[rng_.below(ids.size())]);  // Pending or fired.
+    }
+  }
+
+  void run_until_one() {
+    const Time now = sched_.now();
+    Time deadline = now;
+    switch (rng_.below(5)) {
+      case 0:
+        deadline = now - std::min<Time>(now, rng_.below(kSpan));
+        break;
+      case 1:
+        deadline = now + rng_.below(kSpan);
+        break;
+      case 2:
+        deadline = now + kSpan + rng_.below(8 * kSpan);
+        break;
+      case 3:
+        deadline = now + (Time{1} << 32);
+        break;
+      default:
+        break;
+    }
+    ran_.push_back(sched_.run_until(deadline));
+  }
+
+  void fire(int label) {
+    log.emplace_back(label, sched_.now());
+    switch (rng_.below(8)) {
+      case 0:
+        schedule_one();
+        schedule_one();
+        break;
+      case 1:
+      case 2:
+        schedule_one();
+        break;
+      case 3:
+        ids.push_back(sched_.schedule_after(0, [this, l = next_label_++] {
+          fire(l);
+        }));
+        break;
+      case 4:
+        cancel_one();
+        break;
+      default:
+        break;
+    }
+  }
+
+  Sched sched_;
+  sim::Rng rng_;
+  int next_label_ = 0;
+  std::vector<std::size_t> ran_;
+  std::vector<std::size_t> depths_;
+};
+
+TEST(Scheduler, MatchesReferencePriorityQueue) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SchedulerScript<Scheduler> wheel(seed);
+    SchedulerScript<ReferenceScheduler> reference(seed);
+    wheel.play(400);
+    reference.play(400);
+    ASSERT_EQ(wheel.log, reference.log) << "seed " << seed;
+    ASSERT_EQ(wheel.ids, reference.ids) << "seed " << seed;
+    ASSERT_EQ(wheel.ran(), reference.ran()) << "seed " << seed;
+    ASSERT_EQ(wheel.depths(), reference.depths()) << "seed " << seed;
+    EXPECT_EQ(wheel.sched().now(), reference.sched().now());
+    const SchedulerStats& a = wheel.sched().stats();
+    const SchedulerStats& b = reference.sched().stats();
+    EXPECT_EQ(a.scheduled, b.scheduled) << "seed " << seed;
+    EXPECT_EQ(a.executed, b.executed) << "seed " << seed;
+    EXPECT_EQ(a.cancelled, b.cancelled) << "seed " << seed;
+    EXPECT_EQ(a.discarded, b.discarded) << "seed " << seed;
+    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth) << "seed " << seed;
+    EXPECT_GT(wheel.log.size(), 100u) << "seed " << seed;
+  }
+}
+
+TEST(Scheduler, PastAndFarEventsKeepTimeIdOrder) {
+  // Hand-picked corners: an event scheduled behind the clock runs next and
+  // sets the clock back; events past the window and past 2^32 run in
+  // (time, id) order with in-window events scheduled later.
+  Scheduler sched;
+  std::vector<std::pair<int, Time>> fired;
+  auto log = [&](int label) {
+    return [&fired, &sched, label] { fired.emplace_back(label, sched.now()); };
+  };
+  const Time far = Scheduler::kWheelSpan * 3;
+  const Time huge = (Time{1} << 32) + 5;
+  sched.schedule_at(100, [&] {
+    sched.schedule_at(50, log(1));            // In the past.
+    sched.schedule_at(far, log(4));           // Beyond the window.
+    sched.schedule_at(huge, log(6));          // Beyond 2^32.
+    sched.schedule_after(0, log(2));          // Now: still t=100.
+  });
+  sched.schedule_at(far - Scheduler::kWheelSpan + 1, [&] {
+    sched.schedule_at(far, log(5));  // Same time as 4, later id.
+    sched.schedule_at(Scheduler::kWheelSpan, log(3));
+  });
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, Time>>{{1, 50},
+                                                      {2, 100},
+                                                      {3, 8192},
+                                                      {4, far},
+                                                      {5, far},
+                                                      {6, huge}}));
+  EXPECT_EQ(sched.now(), huge);
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 TEST(Network, PendingRouteThrowsOutOfRange) {

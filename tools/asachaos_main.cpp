@@ -93,6 +93,8 @@ void usage() {
       "                     metrics, spans, seed, shrunk fault plan) to\n"
       "                     D/postmortem-seed<N>.json; same seed -> byte-\n"
       "                     identical bundle\n"
+      "  --postmortem-out F write the first violating (or crashing) seed's\n"
+      "                     bundle to the fixed path F, whichever seed it is\n"
       "  --verbose          per-seed progress lines\n";
 }
 
@@ -144,19 +146,39 @@ std::string build_postmortem(const ChaosConfig& config,
                                     pm_spans);
 }
 
-/// Write the bundle for `config.seed` into `dir`; returns the path ("" on
-/// I/O failure).
-std::string write_postmortem(const std::string& dir,
-                             const ChaosConfig& config,
-                             const sim::FaultPlan& plan,
-                             const sim::FaultPlan& shrunk) {
-  const std::string path =
-      dir + "/postmortem-seed" + std::to_string(config.seed) + ".json";
-  std::ofstream out(path);
-  if (!out) return std::string();
-  out << build_postmortem(config, plan, shrunk);
-  return path;
-}
+/// Where post-mortem bundles go: one per violating seed under `dir`,
+/// and/or the first violating seed's bundle at the fixed path `first`.
+struct PostmortemSinks {
+  std::string dir;
+  std::string first;
+  bool first_written = false;
+
+  /// Write the bundle for `config.seed` to every sink that wants it,
+  /// reporting each path (or the I/O failure).
+  void write(const ChaosConfig& config, const sim::FaultPlan& plan,
+             const sim::FaultPlan& shrunk) {
+    std::vector<std::string> paths;
+    if (!dir.empty()) {
+      paths.push_back(dir + "/postmortem-seed" + std::to_string(config.seed) +
+                      ".json");
+    }
+    if (!first.empty() && !first_written) {
+      paths.push_back(first);
+      first_written = true;
+    }
+    if (paths.empty()) return;
+    const std::string bundle = build_postmortem(config, plan, shrunk);
+    for (const std::string& path : paths) {
+      std::ofstream out(path);
+      out << bundle;
+      if (out) {
+        std::cout << "  postmortem bundle " << path << "\n";
+      } else {
+        std::cerr << "  cannot write postmortem bundle " << path << "\n";
+      }
+    }
+  }
+};
 
 int run_replay(const std::string& path) {
   std::ifstream in(path);
@@ -193,7 +215,7 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   std::string spans_out;
-  std::string postmortem_dir;
+  PostmortemSinks postmortems;
   bool expect_violation = false;
   bool durability_smoke = false;
   bool churn_smoke = false;
@@ -269,7 +291,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--spans-out") {
         spans_out = next();
       } else if (arg == "--postmortem-dir") {
-        postmortem_dir = next();
+        postmortems.dir = next();
+      } else if (arg == "--postmortem-out") {
+        postmortems.first = next();
       } else if (arg == "--verbose") {
         verbose = true;
       } else {
@@ -389,13 +413,7 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "seed " << seed_config.seed << " crashed: " << e.what()
                 << "\n";
-      if (!postmortem_dir.empty()) {
-        const std::string pm_path = write_postmortem(
-            postmortem_dir, seed_config, plan, sim::FaultPlan());
-        if (!pm_path.empty()) {
-          std::cout << "  postmortem bundle " << pm_path << "\n";
-        }
-      }
+      postmortems.write(seed_config, plan, sim::FaultPlan());
       return 3;
     }
     total_events += report.events_executed;
@@ -438,16 +456,7 @@ int main(int argc, char** argv) {
               << (replay_violates ? " reproduces the violation\n"
                                   : " FAILED to reproduce\n");
     if (replay_violates) reproduced = true;
-    if (!postmortem_dir.empty()) {
-      const std::string pm_path =
-          write_postmortem(postmortem_dir, seed_config, plan, minimal);
-      if (pm_path.empty()) {
-        std::cerr << "  cannot write postmortem bundle in " << postmortem_dir
-                  << "\n";
-      } else {
-        std::cout << "  postmortem bundle " << pm_path << "\n";
-      }
-    }
+    postmortems.write(seed_config, plan, minimal);
     if (expect_violation) break;  // One shrunk reproducer is the goal.
   }
 
