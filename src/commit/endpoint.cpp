@@ -1,6 +1,7 @@
 #include "commit/endpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "commit/endpoint_model.hpp"
 
@@ -24,11 +25,23 @@ CommitEndpoint::CommitEndpoint(sim::Network& network, sim::NodeAddr self,
   });
 }
 
+void CommitEndpoint::SenderSet::insert(sim::NodeAddr addr) {
+  if (addr < 64) {
+    low_ |= std::uint64_t{1} << addr;
+  } else if (std::find(high_.begin(), high_.end(), addr) == high_.end()) {
+    high_.push_back(addr);
+  }
+}
+
+std::size_t CommitEndpoint::SenderSet::size() const {
+  return static_cast<std::size_t>(std::popcount(low_)) + high_.size();
+}
+
 std::uint64_t CommitEndpoint::submit(std::uint64_t guid,
                                      std::uint64_t payload,
                                      Callback callback) {
   const std::uint64_t request_id = next_request_id_++;
-  Pending p;
+  Pending& p = pending_.try_emplace(request_id).first;
   p.guid = guid;
   p.payload = payload;
   p.submitted_at = network_.scheduler().now();
@@ -38,14 +51,13 @@ std::uint64_t CommitEndpoint::submit(std::uint64_t guid,
         spans_->open("commit", 0, self_, std::to_string(guid), request_id,
                      0, p.submitted_at);
   }
-  pending_.emplace(request_id, std::move(p));
   ++stats_.submitted;
   start_attempt(request_id);
   return request_id;
 }
 
 void CommitEndpoint::start_attempt(std::uint64_t request_id) {
-  Pending& p = pending_.at(request_id);
+  Pending& p = *pending_.find(request_id);
   ++p.attempt;
   p.confirmations.clear();
   // Each attempt is a distinct update in the protocol's eyes; the shared
@@ -63,25 +75,28 @@ void CommitEndpoint::start_attempt(std::uint64_t request_id) {
   }
 
   if (peer_resolver_) peers_ = peer_resolver_();
-  std::vector<sim::NodeAddr> order = peers_;
+  const std::vector<sim::NodeAddr>* order = &peers_;
   if (policy_.order == RetryPolicy::ServerOrder::kRandom) {
     // Fisher-Yates with the endpoint's deterministic stream.
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng_.below(i)]);
+    shuffled_.assign(peers_.begin(), peers_.end());
+    for (std::size_t i = shuffled_.size(); i > 1; --i) {
+      std::swap(shuffled_[i - 1], shuffled_[rng_.below(i)]);
     }
+    order = &shuffled_;
   }
 
-  const WireMessage msg{WireMessage::Kind::kUpdate, p.guid,
-                        p.current_update_id, request_id, p.payload};
+  const WireMessage::Frame frame =
+      WireMessage{WireMessage::Kind::kUpdate, p.guid, p.current_update_id,
+                  request_id, p.payload}
+          .frame();
   sim::Time delay = 0;
-  for (sim::NodeAddr peer : order) {
+  for (sim::NodeAddr peer : *order) {
     if (policy_.stagger == 0) {
-      network_.send(self_, peer, msg.serialize());
+      network_.send(self_, peer, {frame.data(), frame.size()});
     } else {
-      network_.scheduler().schedule_after(
-          delay, [this, peer, frame = msg.serialize()] {
-            network_.send(self_, peer, frame);
-          });
+      network_.scheduler().schedule_after(delay, [this, peer, frame] {
+        network_.send(self_, peer, {frame.data(), frame.size()});
+      });
       delay += policy_.stagger;
     }
   }
@@ -116,9 +131,9 @@ sim::Time CommitEndpoint::backoff_delay(std::uint32_t attempt) {
 }
 
 void CommitEndpoint::on_timeout(std::uint64_t request_id) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
+  Pending* found = pending_.find(request_id);
+  if (found == nullptr) return;
+  Pending& p = *found;
   if (p.attempt >= policy_.max_attempts) {
     ++stats_.failures;
     if (spans_ != nullptr) {
@@ -133,7 +148,7 @@ void CommitEndpoint::on_timeout(std::uint64_t request_id) {
     result.attempts = p.attempt;
     result.latency = network_.scheduler().now() - p.submitted_at;
     Callback cb = std::move(p.callback);
-    pending_.erase(it);
+    pending_.erase(request_id);
     if (cb) cb(result);
     return;
   }
@@ -145,12 +160,12 @@ void CommitEndpoint::on_timeout(std::uint64_t request_id) {
   start_attempt(request_id);
 }
 
-void CommitEndpoint::handle(sim::NodeAddr from, const std::string& data) {
+void CommitEndpoint::handle(sim::NodeAddr from, std::string_view data) {
   const std::optional<WireMessage> msg = WireMessage::parse(data);
   if (!msg.has_value() || msg->kind != WireMessage::Kind::kCommitted) return;
-  const auto it = pending_.find(msg->request_id);
-  if (it == pending_.end()) return;  // Late confirmation of a done request.
-  Pending& p = it->second;
+  Pending* found = pending_.find(msg->request_id);
+  if (found == nullptr) return;  // Late confirmation of a done request.
+  Pending& p = *found;
   // Only confirmations of the current attempt count toward the quorum;
   // Byzantine members cannot forge f+1 of them.
   if (msg->update_id != p.current_update_id) return;
@@ -186,7 +201,7 @@ void CommitEndpoint::handle(sim::NodeAddr from, const std::string& data) {
         .observe(result.attempts);
   }
   Callback cb = std::move(p.callback);
-  pending_.erase(it);
+  pending_.erase(msg->request_id);
   if (cb) cb(result);
 }
 

@@ -12,13 +12,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <string_view>
 #include <vector>
 
 #include "commit/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
 
@@ -113,20 +113,37 @@ class CommitEndpoint {
   }
 
  private:
+  /// Distinct confirming members. Addresses below 64 — every peer-set
+  /// member in the simulated deployments — are bits of one word; any other
+  /// address spills to a list that otherwise never allocates.
+  class SenderSet {
+   public:
+    void insert(sim::NodeAddr addr);
+    [[nodiscard]] std::size_t size() const;
+    void clear() {
+      low_ = 0;
+      high_.clear();
+    }
+
+   private:
+    std::uint64_t low_ = 0;
+    std::vector<sim::NodeAddr> high_;
+  };
+
   struct Pending {
     std::uint64_t guid = 0;
     std::uint64_t payload = 0;
     std::uint64_t current_update_id = 0;
     std::uint32_t attempt = 0;
     sim::Time submitted_at = 0;
-    std::set<sim::NodeAddr> confirmations;  // For the current attempt.
+    SenderSet confirmations;  // For the current attempt.
     std::uint64_t timer = 0;
     std::uint64_t root_span = 0;     // "commit" span id (0 when disabled).
     std::uint64_t attempt_span = 0;  // Current "attempt" child span id.
     Callback callback;
   };
 
-  void handle(sim::NodeAddr from, const std::string& data);
+  void handle(sim::NodeAddr from, std::string_view data);
   void start_attempt(std::uint64_t request_id);
   void on_timeout(std::uint64_t request_id);
   [[nodiscard]] sim::Time backoff_delay(std::uint32_t attempt);
@@ -134,6 +151,7 @@ class CommitEndpoint {
   sim::Network& network_;
   sim::NodeAddr self_;
   std::vector<sim::NodeAddr> peers_;
+  std::vector<sim::NodeAddr> shuffled_;  // Random server order, reused.
   std::function<std::vector<sim::NodeAddr>()> peer_resolver_;
   std::uint32_t quorum_;  // f + 1.
   RetryPolicy policy_;
@@ -141,7 +159,7 @@ class CommitEndpoint {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;
   EndpointStats stats_;
-  std::map<std::uint64_t, Pending> pending_;  // By request id.
+  sim::FlatMap<Pending> pending_;  // By request id.
   std::uint64_t next_request_id_;
   std::uint64_t next_update_id_ = 1;
 };

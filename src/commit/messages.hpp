@@ -1,16 +1,18 @@
 // Wire messages for the commit protocol runtime.
 //
 // The simulated network carries opaque byte strings; these helpers define
-// the commit protocol's small fixed-size frame. The free/not_free messages
-// of the abstract model never appear here: they are node-internal,
+// the commit protocol's small fixed-size frame (33 bytes, encoded into a
+// stack array and sent as a view, so no send allocates). The free/not_free
+// messages of the abstract model never appear here: they are node-internal,
 // exchanged between sibling machine instances on the same peer (paper
 // section 2.2's per-node serialisation of updates).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace asa_repro::commit {
 
@@ -41,8 +43,15 @@ struct WireMessage {
 
   [[nodiscard]] UpdateKey key() const { return {guid, update_id}; }
 
-  [[nodiscard]] std::string serialize() const {
-    std::string out(1 + 4 * sizeof(std::uint64_t), '\0');
+  /// The frame: the kind byte, then guid, update_id, request_id and
+  /// payload, each 8 bytes little-endian.
+  static constexpr std::size_t kFrameSize = 1 + 4 * sizeof(std::uint64_t);
+  using Frame = std::array<char, kFrameSize>;
+
+  /// Encode into a fixed frame, with no allocation; serialize() and every
+  /// runtime send use this encoder.
+  [[nodiscard]] Frame frame() const {
+    Frame out{};
     out[0] = static_cast<char>(kind);
     std::size_t off = 1;
     for (std::uint64_t v : {guid, update_id, request_id, payload}) {
@@ -53,9 +62,14 @@ struct WireMessage {
     return out;
   }
 
+  [[nodiscard]] std::string serialize() const {
+    const Frame f = frame();
+    return {f.data(), f.size()};
+  }
+
   [[nodiscard]] static std::optional<WireMessage> parse(
-      const std::string& data) {
-    if (data.size() != 1 + 4 * sizeof(std::uint64_t)) return std::nullopt;
+      std::string_view data) {
+    if (data.size() != kFrameSize) return std::nullopt;
     if (static_cast<std::uint8_t>(data[0]) > 3) return std::nullopt;
     WireMessage m;
     m.kind = static_cast<Kind>(data[0]);

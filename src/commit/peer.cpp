@@ -1,6 +1,8 @@
 #include "commit/peer.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 
 #include "commit/commit_model.hpp"
 
@@ -30,52 +32,129 @@ CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
   }
 }
 
-bool CommitPeer::SenderSet::insert(sim::NodeAddr addr) {
-  if (addr < 64) {
-    const std::uint64_t bit = std::uint64_t{1} << addr;
-    const bool fresh = (low_ & bit) == 0;
-    low_ |= bit;
+CommitPeer::InstanceList& CommitPeer::InstanceList::operator=(
+    InstanceList&& other) noexcept {
+  heap_ = std::move(other.heap_);
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  inline_ = other.inline_;
+  other.size_ = 0;
+  other.capacity_ = 1;
+  return *this;
+}
+
+CommitPeer::Instance* CommitPeer::InstanceList::find(
+    std::uint64_t update_id) {
+  Instance* first = data();
+  Instance* last = first + size_;
+  Instance* it = std::lower_bound(
+      first, last, update_id,
+      [](const Instance& inst, std::uint64_t id) { return inst.update_id < id; });
+  return it != last && it->update_id == update_id ? it : nullptr;
+}
+
+CommitPeer::Instance& CommitPeer::InstanceList::insert(const Instance& inst) {
+  if (size_ == capacity_) {
+    const std::uint32_t capacity = capacity_ < 4 ? 4 : 2 * capacity_;
+    auto grown = std::make_unique<Instance[]>(capacity);
+    std::copy(data(), data() + size_, grown.get());
+    heap_ = std::move(grown);
+    capacity_ = capacity;
+  }
+  Instance* first = data();
+  Instance* pos = std::lower_bound(
+      first, first + size_, inst.update_id,
+      [](const Instance& i, std::uint64_t id) { return i.update_id < id; });
+  std::copy_backward(pos, first + size_, first + size_ + 1);
+  *pos = inst;
+  ++size_;
+  return *pos;
+}
+
+void CommitPeer::InstanceList::erase_at(std::size_t i) {
+  Instance* first = data();
+  std::copy(first + i + 1, first + size_, first + i);
+  --size_;
+}
+
+bool CommitPeer::note_sender(std::uint64_t guid, Instance& inst, bool commit,
+                             sim::NodeAddr from) {
+  if (from < 64) {
+    std::uint64_t& bits = commit ? inst.committers : inst.voters;
+    const std::uint64_t bit = std::uint64_t{1} << from;
+    const bool fresh = (bits & bit) == 0;
+    bits |= bit;
     return fresh;
   }
-  if (std::find(high_.begin(), high_.end(), addr) != high_.end()) {
-    return false;
+  inst.high_senders = true;
+  return high_senders_.emplace(guid, inst.update_id, commit, from).second;
+}
+
+void CommitPeer::release(std::uint64_t guid, GuidContext& ctx,
+                         std::size_t index) {
+  const Instance& inst = ctx.instances[index];
+  if (inst.high_senders) {
+    high_senders_.erase(
+        high_senders_.lower_bound({guid, inst.update_id, false, 0}),
+        high_senders_.upper_bound(
+            {guid, inst.update_id, true,
+             std::numeric_limits<sim::NodeAddr>::max()}));
   }
-  high_.push_back(addr);
-  return true;
+  ctx.instances.erase_at(index);
 }
 
 std::vector<std::uint64_t> CommitPeer::sorted_guids() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(guids_.size());
-  for (const auto& [guid, ctx] : guids_) keys.push_back(guid);
+  for (const auto& entry : guids_) keys.push_back(entry.key);
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
 const std::vector<CommitPeer::CommittedEntry>& CommitPeer::history(
     std::uint64_t guid) const {
-  const auto it = guids_.find(guid);
-  return it == guids_.end() ? kEmptyHistory : it->second.committed;
+  const GuidContext* ctx = guids_.find(guid);
+  return ctx == nullptr ? kEmptyHistory : ctx->committed;
 }
 
 bool CommitPeer::import_history(std::uint64_t guid,
                                 std::vector<CommittedEntry> entries) {
-  GuidContext& ctx = guids_[guid];
+  GuidContext& ctx = guids_.try_emplace(guid).first;
   if (!ctx.committed.empty()) return false;
   ctx.committed = std::move(entries);
   // The imported updates are settled; make sure late protocol traffic for
   // them is absorbed rather than re-run (and recorded a second time).
-  for (const CommittedEntry& e : ctx.committed) {
-    ctx.instances.erase(e.update_id);
-    ctx.settled.insert(e.update_id);
-  }
+  settle_history(guid, ctx);
   if (import_sink_) import_sink_(guid, ctx.committed);
   return true;
 }
 
+void CommitPeer::settle_history(std::uint64_t guid, GuidContext& ctx) {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(ctx.committed.size());
+  for (const CommittedEntry& e : ctx.committed) ids.push_back(e.update_id);
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = ctx.instances.size(); i-- > 0;) {
+    if (std::binary_search(ids.begin(), ids.end(),
+                           ctx.instances[i].update_id)) {
+      release(guid, ctx, i);
+    }
+  }
+  merge_settled(ctx, ids);
+}
+
+void CommitPeer::merge_settled(GuidContext& ctx,
+                               const std::vector<std::uint64_t>& sorted_ids) {
+  std::vector<std::uint64_t> merged;
+  merged.reserve(ctx.settled.size() + sorted_ids.size());
+  std::set_union(ctx.settled.begin(), ctx.settled.end(), sorted_ids.begin(),
+                 sorted_ids.end(), std::back_inserter(merged));
+  ctx.settled = std::move(merged);
+}
+
 std::size_t CommitPeer::reconcile_history(
     std::uint64_t guid, const std::vector<CommittedEntry>& donor) {
-  GuidContext& ctx = guids_[guid];
+  GuidContext& ctx = guids_.try_emplace(guid).first;
   std::set<std::uint64_t> donor_ids;
   for (const CommittedEntry& e : donor) donor_ids.insert(e.update_id);
   std::set<std::uint64_t> local_ids;
@@ -95,52 +174,51 @@ std::size_t CommitPeer::reconcile_history(
     if (!local_ids.contains(e.update_id)) ++adopted;
   }
   ctx.committed = std::move(merged);
-  for (const CommittedEntry& e : ctx.committed) {
-    ctx.instances.erase(e.update_id);
-    ctx.settled.insert(e.update_id);
-  }
+  settle_history(guid, ctx);
   if (import_sink_) import_sink_(guid, ctx.committed);
   // A pure reorder adopts no new entries but still rewrote the history.
   return adopted > 0 ? adopted : 1;
 }
 
 std::size_t CommitPeer::live_instances(std::uint64_t guid) const {
-  const auto it = guids_.find(guid);
-  if (it == guids_.end()) return 0;
+  const GuidContext* ctx = guids_.find(guid);
+  if (ctx == nullptr) return 0;
   std::size_t n = 0;
-  for (const auto& [uid, inst] : it->second.instances) {
-    if (!inst.fsm.finished()) ++n;
+  for (std::size_t i = 0; i < ctx->instances.size(); ++i) {
+    if (!finished(ctx->instances[i])) ++n;
   }
   return n;
 }
 
 std::size_t CommitPeer::resident_instances(std::uint64_t guid) const {
-  const auto it = guids_.find(guid);
-  return it == guids_.end() ? 0 : it->second.instances.size();
+  const GuidContext* ctx = guids_.find(guid);
+  return ctx == nullptr ? 0 : ctx->instances.size();
 }
 
 std::size_t CommitPeer::collect_finished() {
   std::size_t released = 0;
+  std::vector<std::uint64_t> ids;
   for (const std::uint64_t guid : sorted_guids()) {
-    GuidContext& ctx = guids_.at(guid);
-    for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
-      Instance& inst = it->second;
+    GuidContext& ctx = *guids_.find(guid);
+    ids.clear();
+    for (std::size_t i = 0; i < ctx.instances.size();) {
+      const Instance& inst = ctx.instances[i];
       // Only fully processed instances are collectable: finished, recorded,
       // and with no completion notification still owed to a client.
-      if (inst.fsm.finished() && inst.recorded &&
-          !inst.client.has_value()) {
-        ctx.settled.insert(it->first);
-        it = ctx.instances.erase(it);
+      if (finished(inst) && inst.recorded && !inst.has_client) {
+        ids.push_back(inst.update_id);
+        release(guid, ctx, i);
         ++released;
       } else {
-        ++it;
+        ++i;
       }
     }
+    if (!ids.empty()) merge_settled(ctx, ids);  // Collected ids ascend.
   }
   return released;
 }
 
-void CommitPeer::handle(sim::NodeAddr from, const std::string& data) {
+void CommitPeer::handle(sim::NodeAddr from, std::string_view data) {
   const std::optional<WireMessage> msg = WireMessage::parse(data);
   if (!msg.has_value()) return;  // Garbage frame: drop.
 
@@ -174,23 +252,22 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
                                            std::uint64_t guid,
                                            std::uint64_t update_id,
                                            const WireMessage& msg) {
-  const auto it = ctx.instances.find(update_id);
-  if (it != ctx.instances.end()) {
-    Instance& inst = it->second;
-    if (inst.request_id == 0) inst.request_id = msg.request_id;
-    if (inst.payload == 0) inst.payload = msg.payload;
-    return inst;
+  if (Instance* found = ctx.instances.find(update_id)) {
+    if (found->request_id == 0) found->request_id = msg.request_id;
+    if (found->payload == 0) found->payload = msg.payload;
+    return *found;
   }
-  auto [pos, inserted] = ctx.instances.emplace(
-      update_id, Instance{fsm::CompiledInstance(table_->machine()),
-                          msg.request_id, msg.payload, {}, {}, std::nullopt,
-                          network_.scheduler().now(), false});
-  Instance& inst = pos->second;
+  Instance& inst =
+      ctx.instances.insert({.update_id = update_id,
+                            .request_id = msg.request_id,
+                            .payload = msg.payload,
+                            .created = network_.scheduler().now(),
+                            .state = table_->machine().start()});
   // The abstract model's start state assumes the node is free; if another
   // update already holds the node lock for this GUID, lock the new machine
   // immediately (this is how could_choose is initialised in deployment).
   if (ctx.chosen_update.has_value() && *ctx.chosen_update != update_id) {
-    (void)inst.fsm.deliver(kNotFree);
+    (void)table_->machine().step(inst.state, kNotFree);
   }
   if (trace_ != nullptr) {
     trace_->record(network_.scheduler().now(), self_, "instance",
@@ -219,15 +296,14 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
 }
 
 void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
-  GuidContext& ctx = guids_[msg.guid];
-  if (ctx.settled.contains(msg.update_id)) {
+  GuidContext& ctx = guids_.try_emplace(msg.guid).first;
+  if (std::binary_search(ctx.settled.begin(), ctx.settled.end(),
+                         msg.update_id)) {
     // Late traffic for a garbage-collected update: absorb it; re-confirm a
     // resent update request (the original notification may have been lost).
     if (msg.kind == WireMessage::Kind::kUpdate) {
-      network_.send(self_, from,
-                    WireMessage{WireMessage::Kind::kCommitted, msg.guid,
-                                msg.update_id, msg.request_id, msg.payload}
-                        .serialize());
+      send(from, {WireMessage::Kind::kCommitted, msg.guid, msg.update_id,
+                  msg.request_id, msg.payload});
     }
     return;
   }
@@ -244,6 +320,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       ++stats_.updates_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       inst.client = from;
+      inst.has_client = true;
       deliver(ctx, msg.guid, msg.update_id, kUpdate);
       // A resent update for an already-finished attempt still deserves a
       // completion notification (the original may have been lost).
@@ -254,7 +331,8 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       ++stats_.votes_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.voters.insert(from) && hardening_.dedup_protocol)) {
+          (!note_sender(msg.guid, inst, false, from) &&
+           hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;  // One vote per member per update.
         break;
       }
@@ -265,7 +343,7 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
       ++stats_.commits_received;
       Instance& inst = instance(ctx, msg.guid, msg.update_id, msg);
       if ((hardening_.drop_self && from == self_) ||
-          (!inst.committers.insert(from) &&
+          (!note_sender(msg.guid, inst, true, from) &&
            hardening_.dedup_protocol)) {
         ++stats_.duplicates_dropped;
         break;
@@ -290,9 +368,10 @@ void CommitPeer::run_queue(GuidContext& ctx, std::uint64_t guid) {
   draining_ = true;
   while (local_head_ < local_queue_.size()) {
     const auto [update_id, message] = local_queue_[local_head_++];
-    const auto it = ctx.instances.find(update_id);
-    if (it == ctx.instances.end()) continue;
-    execute_actions(ctx, guid, update_id, it->second.fsm.deliver(message));
+    Instance* inst = ctx.instances.find(update_id);
+    if (inst == nullptr) continue;
+    execute_actions(ctx, guid, update_id,
+                    table_->machine().step(inst->state, message));
     check_finished(ctx, guid, update_id);
   }
   local_queue_.clear();
@@ -300,7 +379,13 @@ void CommitPeer::run_queue(GuidContext& ctx, std::uint64_t guid) {
   draining_ = false;
 }
 
+void CommitPeer::send(sim::NodeAddr to, const WireMessage& msg) {
+  const WireMessage::Frame frame = msg.frame();
+  network_.send(self_, to, {frame.data(), frame.size()});
+}
+
 void CommitPeer::broadcast(const WireMessage& msg) {
+  const WireMessage::Frame frame = msg.frame();
   std::vector<sim::NodeAddr> looked_up;
   if (resolver_) looked_up = resolver_(msg.guid);
   const std::vector<sim::NodeAddr>& resolved = resolver_ ? looked_up : peers_;
@@ -317,14 +402,15 @@ void CommitPeer::broadcast(const WireMessage& msg) {
       }
       if (rank >= resolved.size() / 2) continue;
     }
-    network_.send(self_, peer, msg.serialize());
+    network_.send(self_, peer, {frame.data(), frame.size()});
   }
 }
 
 void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
                                  std::uint64_t update_id,
-                                 fsm::CompiledInstance::Delivery actions) {
-  Instance& inst = ctx.instances.at(update_id);
+                                 fsm::CompiledDelivery actions) {
+  // No action inserts or erases an instance, so the reference holds.
+  Instance& inst = *ctx.instances.find(update_id);
   for (std::uint32_t i = 0; i < actions.count; ++i) {
     switch (table_->action(actions.ids[i])) {
       case PeerAction::kVote:
@@ -354,9 +440,10 @@ void CommitPeer::execute_actions(GuidContext& ctx, std::uint64_t guid,
       case PeerAction::kNotFree:
         ctx.chosen_update = update_id;
         // not_free never triggers further actions, so queued delivery is safe.
-        for (auto& [uid, sibling] : ctx.instances) {
-          if (uid == update_id || sibling.fsm.finished()) continue;
-          local_queue_.emplace_back(uid, kNotFree);
+        for (std::size_t i = 0; i < ctx.instances.size(); ++i) {
+          const Instance& sibling = ctx.instances[i];
+          if (sibling.update_id == update_id || finished(sibling)) continue;
+          local_queue_.emplace_back(sibling.update_id, kNotFree);
         }
         break;
       case PeerAction::kFree:
@@ -375,27 +462,26 @@ void CommitPeer::free_siblings(GuidContext& ctx, std::uint64_t guid,
   // chooses retakes the lock (its not_free is queued for the others), and
   // the remaining siblings must NOT see a stale free — otherwise several
   // pending updates could all vote at once, breaking the one-ongoing-update
-  // serialisation the free/not_free protocol exists to provide.
-  std::vector<std::uint64_t> uids;
-  uids.reserve(ctx.instances.size());
-  for (const auto& [uid, sibling] : ctx.instances) {
-    if (uid != source && !sibling.fsm.finished()) uids.push_back(uid);
-  }
-  for (const std::uint64_t uid : uids) {
+  // serialisation the free/not_free protocol exists to provide. Nothing
+  // below inserts or erases an instance, and a finished sibling stays
+  // finished, so walking the list live visits exactly the siblings that
+  // were pending when the lock was freed.
+  for (std::size_t i = 0; i < ctx.instances.size(); ++i) {
     if (ctx.chosen_update.has_value()) break;  // Lock retaken.
-    const auto it = ctx.instances.find(uid);
-    if (it == ctx.instances.end() || it->second.fsm.finished()) continue;
-    execute_actions(ctx, guid, uid, it->second.fsm.deliver(kFree));
+    Instance& sibling = ctx.instances[i];
+    if (sibling.update_id == source || finished(sibling)) continue;
+    const std::uint64_t uid = sibling.update_id;
+    execute_actions(ctx, guid, uid,
+                    table_->machine().step(sibling.state, kFree));
     check_finished(ctx, guid, uid);
   }
 }
 
 void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
                                 std::uint64_t update_id) {
-  const auto it = ctx.instances.find(update_id);
-  if (it == ctx.instances.end()) return;
-  Instance& inst = it->second;
-  if (!inst.fsm.finished()) return;
+  Instance* found = ctx.instances.find(update_id);
+  if (found == nullptr || !finished(*found)) return;
+  Instance& inst = *found;
   if (!inst.recorded) {
     if (commit_sink_ &&
         !commit_sink_(guid,
@@ -468,7 +554,7 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
     // update was locally chosen).
     if (ctx.chosen_update == update_id) ctx.chosen_update.reset();
   }
-  if (inst.recorded && inst.client.has_value()) {
+  if (inst.recorded && inst.has_client) {
     if (ack_sink_) {
       ack_sink_(guid, {update_id, inst.request_id, inst.payload});
     }
@@ -477,11 +563,9 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
                     std::to_string(guid), inst.request_id, update_id,
                     network_.scheduler().now(), true);
     }
-    network_.send(self_, *inst.client,
-                  WireMessage{WireMessage::Kind::kCommitted, guid, update_id,
-                              inst.request_id, inst.payload}
-                      .serialize());
-    inst.client.reset();  // Notify once per received update request.
+    send(inst.client, {WireMessage::Kind::kCommitted, guid, update_id,
+                       inst.request_id, inst.payload});
+    inst.has_client = false;  // Notify once per received update request.
   }
 }
 
@@ -509,20 +593,20 @@ void CommitPeer::cancel_abort_scan() {
 void CommitPeer::abort_scan(sim::Time max_age) {
   const sim::Time now = network_.scheduler().now();
   for (const std::uint64_t guid : sorted_guids()) {
-    GuidContext& ctx = guids_.at(guid);
-    for (auto it = ctx.instances.begin(); it != ctx.instances.end();) {
-      Instance& inst = it->second;
-      const bool stalled =
-          !inst.fsm.finished() && now - inst.created > max_age;
+    GuidContext& ctx = *guids_.find(guid);
+    for (std::size_t i = 0; i < ctx.instances.size();) {
+      const Instance& inst = ctx.instances[i];
+      const bool stalled = !finished(inst) && now - inst.created > max_age;
       if (!stalled) {
-        ++it;
+        ++i;
         continue;
       }
+      const std::uint64_t uid = inst.update_id;
       ++stats_.aborted;
       if (trace_ != nullptr) {
         trace_->record(now, self_, "abort",
                        "guid=" + std::to_string(guid) +
-                           " update=" + std::to_string(it->first) +
+                           " update=" + std::to_string(uid) +
                            " age=" + std::to_string(now - inst.created));
       }
       if (metrics_ != nullptr) {
@@ -537,15 +621,14 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       if (flight_ != nullptr) {
         flight_->record(now, self_, "commit.abort",
                         "guid=" + std::to_string(guid) +
-                            " update=" + std::to_string(it->first) +
+                            " update=" + std::to_string(uid) +
                             " request=" + std::to_string(inst.request_id));
       }
-      const bool held_lock = ctx.chosen_update == it->first;
-      const std::uint64_t erased_uid = it->first;
-      it = ctx.instances.erase(it);
+      const bool held_lock = ctx.chosen_update == uid;
+      release(guid, ctx, i);  // The next instance moves to index i.
       if (held_lock) {
         ctx.chosen_update.reset();
-        free_siblings(ctx, guid, erased_uid);
+        free_siblings(ctx, guid, uid);
         if (!draining_) run_queue(ctx, guid);
       }
     }
@@ -553,12 +636,10 @@ void CommitPeer::abort_scan(sim::Time max_age) {
   // Keep scanning only while something is live; instance creation re-arms
   // the scan, so an idle peer leaves the scheduler quiescent.
   bool any_live = false;
-  for (const auto& [guid, ctx] : guids_) {
-    for (const auto& [uid, inst] : ctx.instances) {
-      if (!inst.fsm.finished()) {
-        any_live = true;
-        break;
-      }
+  for (const auto& entry : guids_) {
+    const InstanceList& instances = entry.value.instances;
+    for (std::size_t i = 0; i < instances.size() && !any_live; ++i) {
+      any_live = !finished(instances[i]);
     }
     if (any_live) break;
   }

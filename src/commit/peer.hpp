@@ -1,12 +1,14 @@
 // A peer-set member executing the commit protocol (paper section 2.2).
 //
-// Each member hosts one machine instance per ongoing update per GUID: an
-// fsm::CompiledInstance over the generated machine's shared compiled table
-// (commit/commit_table.hpp), stored inline with its distinct-sender vote
-// and commit sets, so a delivered message allocates nothing. The
-// free/not_free messages of the abstract model are node-internal: when one
-// instance chooses its update it locks the node (not_free delivered to its
-// siblings); when the chosen update finishes it frees the node again.
+// Each member hosts one machine instance per ongoing update per GUID: a
+// compiled state over the generated machine's shared compiled table
+// (commit/commit_table.hpp), kept with its distinct-sender vote and commit
+// bitsets in a compact record inline in the GUID's entry of one
+// open-addressed table, so a vote or commit delivered to an existing
+// instance allocates nothing. The free/not_free messages of the abstract
+// model are node-internal: when one instance chooses its update it locks
+// the node (not_free delivered to its siblings); when the chosen update
+// finishes it frees the node again.
 //
 // Byzantine behaviours (crash, equivocation, selective withholding) are
 // injected here so that the protocol's claimed tolerance of f = (r-1)/3
@@ -16,11 +18,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "commit/commit_table.hpp"
@@ -28,6 +30,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 
@@ -200,42 +203,69 @@ class CommitPeer {
   void enable_abort(sim::Time scan_interval, sim::Time max_age);
 
  private:
-  /// Distinct message senders. Addresses below 64 — every peer-set member
-  /// in the simulated deployments — are bits of one word; any other
-  /// address spills to a list that otherwise never allocates.
-  class SenderSet {
-   public:
-    /// False if `addr` was already present.
-    bool insert(sim::NodeAddr addr);
-
-   private:
-    std::uint64_t low_ = 0;
-    std::vector<sim::NodeAddr> high_;
-  };
-
+  /// One machine instance: its compiled state and everything the peer
+  /// tracks for the update, in one trivially copyable record. Vote and
+  /// commit senders are bits per address below 64 — every peer-set member
+  /// in the simulated deployments; other senders go to high_senders_.
   struct Instance {
-    fsm::CompiledInstance fsm;
+    std::uint64_t update_id = 0;
     std::uint64_t request_id = 0;
     std::uint64_t payload = 0;
-    SenderSet voters;      // Distinct vote senders.
-    SenderSet committers;  // Distinct commit senders.
-    std::optional<sim::NodeAddr> client; // Who to notify on completion.
+    std::uint64_t voters = 0;      // Distinct vote senders.
+    std::uint64_t committers = 0;  // Distinct commit senders.
     sim::Time created = 0;
-    bool recorded = false;               // Appended to committed history.
     std::uint64_t vote_span = 0;    // "vote-collect" span id (0 = none).
     std::uint64_t quorum_span = 0;  // "quorum" span id (0 = none).
-  };
-  struct GuidContext {
-    std::map<std::uint64_t, Instance> instances;  // By update_id, ascending
-                                                  // for the sibling fan-out.
-    std::optional<std::uint64_t> chosen_update;   // Node lock holder.
-    std::vector<CommittedEntry> committed;        // Local commit order.
-    std::set<std::uint64_t> settled;  // Finished & garbage-collected ids:
-                                      // late traffic is absorbed, never
-                                      // re-instantiated.
+    fsm::StateId state = 0;
+    sim::NodeAddr client = 0;  // Who to notify on completion...
+    bool has_client = false;   // ...when set.
+    bool recorded = false;     // Appended to committed history.
+    bool high_senders = false;  // Has entries in high_senders_.
   };
 
-  void handle(sim::NodeAddr from, const std::string& payload);
+  /// A GUID's instances in ascending update_id order (the sibling
+  /// free/not_free fan-out, the abort scan and collection walk them in that
+  /// order). The first lives inline in the GUID's entry; more spill to one
+  /// heap array holding them all.
+  class InstanceList {
+   public:
+    InstanceList() = default;
+    // A moved-from list is left empty and inline.
+    InstanceList(InstanceList&& other) noexcept { *this = std::move(other); }
+    InstanceList& operator=(InstanceList&& other) noexcept;
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    Instance& operator[](std::size_t i) { return data()[i]; }
+    [[nodiscard]] const Instance& operator[](std::size_t i) const {
+      return data()[i];
+    }
+    [[nodiscard]] Instance* find(std::uint64_t update_id);
+    /// Insert in update_id order (the id must be absent).
+    Instance& insert(const Instance& inst);
+    void erase_at(std::size_t i);
+
+   private:
+    [[nodiscard]] Instance* data() { return heap_ ? heap_.get() : &inline_; }
+    [[nodiscard]] const Instance* data() const {
+      return heap_ ? heap_.get() : &inline_;
+    }
+
+    std::unique_ptr<Instance[]> heap_;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 1;
+    Instance inline_;
+  };
+
+  struct GuidContext {
+    InstanceList instances;
+    std::optional<std::uint64_t> chosen_update;  // Node lock holder.
+    std::vector<CommittedEntry> committed;       // Local commit order.
+    std::vector<std::uint64_t> settled;  // Sorted. Finished and collected
+                                         // ids: late traffic is absorbed,
+                                         // never re-instantiated.
+  };
+
+  void handle(sim::NodeAddr from, std::string_view payload);
   void handle_honest(sim::NodeAddr from, const WireMessage& msg);
   void handle_equivocator(const WireMessage& msg);
 
@@ -246,18 +276,31 @@ class CommitPeer {
                fsm::MessageId message);
   void run_queue(GuidContext& ctx, std::uint64_t guid);
   void execute_actions(GuidContext& ctx, std::uint64_t guid,
-                       std::uint64_t update_id,
-                       fsm::CompiledInstance::Delivery actions);
+                       std::uint64_t update_id, fsm::CompiledDelivery actions);
   /// Offer a freed node lock to pending siblings, one at a time, stopping
   /// as soon as one of them chooses (retakes the lock).
   void free_siblings(GuidContext& ctx, std::uint64_t guid,
                      std::uint64_t source);
+  void send(sim::NodeAddr to, const WireMessage& msg);
   void broadcast(const WireMessage& msg);
   void check_finished(GuidContext& ctx, std::uint64_t guid,
                       std::uint64_t update_id);
 
   Instance& instance(GuidContext& ctx, std::uint64_t guid,
                      std::uint64_t update_id, const WireMessage& msg);
+  [[nodiscard]] bool finished(const Instance& inst) const {
+    return table_->machine().is_final(inst.state);
+  }
+  /// Record `from` as a vote (or commit) sender; false if already seen.
+  bool note_sender(std::uint64_t guid, Instance& inst, bool commit,
+                   sim::NodeAddr from);
+  /// Drop an instance that leaves memory (collected, aborted, imported).
+  void release(std::uint64_t guid, GuidContext& ctx, std::size_t index);
+  /// Settle every id of the context's history: release its instances and
+  /// merge the ids into the sorted settled list.
+  void settle_history(std::uint64_t guid, GuidContext& ctx);
+  static void merge_settled(GuidContext& ctx,
+                            const std::vector<std::uint64_t>& sorted_ids);
 
   /// Known GUIDs in ascending order, for scans whose effects are ordered.
   [[nodiscard]] std::vector<std::uint64_t> sorted_guids() const;
@@ -281,7 +324,13 @@ class CommitPeer {
   AckSink ack_sink_;
   ImportSink import_sink_;
   PeerStats stats_;
-  std::unordered_map<std::uint64_t, GuidContext> guids_;
+  // Every GUID this peer has seen. The sinks run while a context is in
+  // use, so they must not add GUIDs (import or reconcile) on this peer.
+  sim::FlatMap<GuidContext> guids_;
+  // Vote/commit senders with addresses of 64 and above, by (guid,
+  // update_id, is-commit, sender).
+  std::set<std::tuple<std::uint64_t, std::uint64_t, bool, sim::NodeAddr>>
+      high_senders_;
   // Internal free/not_free deliveries awaiting run_queue, consumed from
   // local_head_; storage is reused once drained.
   std::vector<std::pair<std::uint64_t, fsm::MessageId>> local_queue_;

@@ -99,6 +99,15 @@ class EventDecoder {
 /// A StateMachine flattened into the dense dispatch layout. Immutable once
 /// compiled; many CompiledInstance runtimes may share one machine, exactly
 /// as FsmInstances share a StateMachine.
+/// The actions of one delivery: `count` ids starting at `ids`, resolvable
+/// through CompiledMachine::action_names(). `applicable` is false when the
+/// message had no transition (the interpreter's nullptr case).
+struct CompiledDelivery {
+  const std::uint16_t* ids = nullptr;
+  std::uint32_t count = 0;
+  bool applicable = false;
+};
+
 class CompiledMachine {
  public:
   /// Flatten `machine`. Throws std::invalid_argument on machines the
@@ -126,6 +135,15 @@ class CompiledMachine {
   [[nodiscard]] const std::uint16_t* arena_at(const CompiledRecord& rec)
       const {
     return arena_.data() + offset_of(rec.span);
+  }
+
+  /// Deliver `event` to a machine in `state`: advance `state` and return
+  /// the transition's actions. Holders of a bare StateId (records packed
+  /// into a runtime table) step through this; CompiledInstance wraps it.
+  CompiledDelivery step(StateId& state, MessageId event) const {
+    const CompiledRecord& rec = record(state, event);
+    state = rec.next;
+    return {arena_at(rec), count_of(rec.span), applicable(rec.span)};
   }
 
   [[nodiscard]] std::uint32_t state_count() const { return states_; }
@@ -183,21 +201,9 @@ class CompiledInstance {
   explicit CompiledInstance(const CompiledMachine& machine)
       : machine_(&machine), state_(machine.start()) {}
 
-  /// The actions of one delivery: `count` ids starting at `ids`, resolvable
-  /// through CompiledMachine::action_names(). `applicable` is false when
-  /// the message had no transition (the interpreter's nullptr case).
-  struct Delivery {
-    const std::uint16_t* ids = nullptr;
-    std::uint32_t count = 0;
-    bool applicable = false;
-  };
+  using Delivery = CompiledDelivery;
 
-  Delivery deliver(MessageId event) {
-    const CompiledRecord& rec = machine_->record(state_, event);
-    state_ = rec.next;
-    return {machine_->arena_at(rec), CompiledMachine::count_of(rec.span),
-            CompiledMachine::applicable(rec.span)};
-  }
+  Delivery deliver(MessageId event) { return machine_->step(state_, event); }
 
   [[nodiscard]] const CompiledMachine& machine() const { return *machine_; }
   [[nodiscard]] StateId state() const { return state_; }

@@ -4,12 +4,31 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
 namespace asa_repro::obs {
 
 namespace {
+
+/// Sort `items` by `less`, ties kept in their original order, as
+/// std::sort over the total order (key, original position) — the same
+/// result as std::stable_sort without its temporary buffer.
+template <class T, class Less>
+void sort_stably(std::vector<T>& items, Less less) {
+  std::vector<std::size_t> order(items.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (less(items[a], items[b])) return true;
+    if (less(items[b], items[a])) return false;
+    return a < b;
+  });
+  std::vector<T> sorted;
+  sorted.reserve(items.size());
+  for (const std::size_t i : order) sorted.push_back(std::move(items[i]));
+  items = std::move(sorted);
+}
 
 std::optional<std::string> check_series_array(const JsonValue* arr,
                                               const char* section,
@@ -676,10 +695,9 @@ std::string render_critical_path(const JsonValue& spans_doc) {
 
   // The p99 commit, decomposed: which phase owns the tail latency.
   std::vector<Decomposed> by_total = commits;
-  std::stable_sort(by_total.begin(), by_total.end(),
-                   [](const Decomposed& a, const Decomposed& b) {
-                     return a.total < b.total;
-                   });
+  sort_stably(by_total, [](const Decomposed& a, const Decomposed& b) {
+    return a.total < b.total;
+  });
   const auto rank = static_cast<std::size_t>(
       0.99 * static_cast<double>(by_total.size()) + 0.999999999);
   const Decomposed& p99 = by_total[rank == 0 ? 0 : rank - 1];
@@ -1080,10 +1098,9 @@ std::string render_report(const JsonValue& metrics,
                          detail_field(e.detail, "update").value_or(0)});
     }
     if (!commits.empty()) {
-      std::stable_sort(commits.begin(), commits.end(),
-                       [](const SlowCommit& a, const SlowCommit& b) {
-                         return a.latency > b.latency;
-                       });
+      sort_stably(commits, [](const SlowCommit& a, const SlowCommit& b) {
+        return a.latency > b.latency;
+      });
       out << "\n=== top " << std::min(options.top_k, commits.size())
           << " slowest commit instances (of " << commits.size() << ") ===\n";
       std::snprintf(line, sizeof line, "%12s %8s %20s %10s %12s\n",

@@ -1,5 +1,7 @@
 #include "sim/network.hpp"
 
+#include <cstring>
+
 namespace asa_repro::sim {
 
 namespace {
@@ -148,7 +150,8 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
   it->second(from, payload);
 }
 
-std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
+std::uint64_t Network::send(NodeAddr from, NodeAddr to,
+                            std::string_view payload) {
   const std::uint64_t id = next_msg_id_++;
   ++stats_.sent;
   if (trace_ != nullptr) {
@@ -215,47 +218,87 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to, std::string payload) {
   const Time sent_at = sched_.now();
   if (manual_mode_) {
     for (int copy = 0; copy < copies; ++copy) {
-      pending_.push_back({from, to, payload, id, sent_at});
+      pending_.push_back({from, to, std::string(payload), id, sent_at});
     }
     return id;
   }
   const LatencyModel& latency =
       ls.profile.has_value() ? ls.profile->latency : latency_;
   const Time jitter = ls.profile.has_value() ? ls.profile->jitter : 0;
-  auto schedule_copy = [&](std::string copy_payload) {
+  for (int copy = 0; copy < copies; ++copy) {
     Time delay =
         latency.min_latency == latency.max_latency
             ? latency.min_latency
             : latency.min_latency +
                   ls.rng.below(latency.max_latency - latency.min_latency + 1);
     if (jitter > 0) delay += ls.rng.below(jitter + 1);
-    const std::uint32_t slot =
-        park({from, to, std::move(copy_payload), id, sent_at});
+    const std::uint32_t slot = park(from, to, payload, id, sent_at);
     sched_.schedule_after(delay, [this, slot] { deliver_parked(slot); });
-  };
-  // A duplicate's first copy copies the payload; the last copy takes it.
-  if (copies == 2) schedule_copy(payload);
-  schedule_copy(std::move(payload));
+  }
   return id;
 }
 
-std::uint32_t Network::park(PendingMessage message) {
+std::uint32_t Network::park(NodeAddr from, NodeAddr to,
+                            std::string_view payload, std::uint64_t id,
+                            Time sent_at) {
+  std::uint32_t slot = 0;
   if (free_in_flight_.empty()) {
-    in_flight_.push_back(std::move(message));
-    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
   }
-  const std::uint32_t slot = free_in_flight_.back();
-  free_in_flight_.pop_back();
-  in_flight_[slot] = std::move(message);
+  InFlight& m = in_flight_[slot];
+  m.id = id;
+  m.sent_at = sent_at;
+  m.from = from;
+  m.to = to;
+  m.size = static_cast<std::uint32_t>(payload.size());
+  if (payload.size() <= kInlineFrame) {
+    if (!payload.empty()) {
+      std::memcpy(m.bytes.data(), payload.data(), payload.size());
+    }
+    return slot;
+  }
+  std::uint32_t spill = 0;
+  if (free_spilled_.empty()) {
+    spill = static_cast<std::uint32_t>(spilled_.size());
+    spilled_.emplace_back();
+  } else {
+    spill = free_spilled_.back();
+    free_spilled_.pop_back();
+  }
+  spilled_[spill].assign(payload);
+  std::memcpy(m.bytes.data(), &spill, sizeof spill);
   return slot;
 }
 
 void Network::deliver_parked(std::uint32_t slot) {
-  // Move the copy out first: the handler may send, which can reuse the
+  // Copy the slot out first: the handler may send, which can reuse the
   // slot or reallocate the slab.
-  const PendingMessage msg = std::move(in_flight_[slot]);
+  const InFlight m = in_flight_[slot];
   free_in_flight_.push_back(slot);
-  deliver_copy(msg.from, msg.to, msg.payload, msg.id, msg.sent_at);
+  if (frame_depth_ == frames_.size()) frames_.emplace_back();
+  std::string& frame = frames_[frame_depth_];
+  if (m.size <= kInlineFrame) {
+    frame.assign(m.bytes.data(), m.size);
+  } else {
+    std::uint32_t spill = 0;
+    std::memcpy(&spill, m.bytes.data(), sizeof spill);
+    frame.swap(spilled_[spill]);  // Take the bytes; lend the capacity.
+    free_spilled_.push_back(spill);
+  }
+  // The buffer at this depth is ours until the handler returns (or
+  // throws); a nested delivery takes the next one.
+  struct Depth {
+    std::size_t& depth;
+    explicit Depth(std::size_t& d) : depth(d) { ++depth; }
+    ~Depth() { --depth; }
+    Depth(const Depth&) = delete;
+    Depth& operator=(const Depth&) = delete;
+  } depth(frame_depth_);
+  deliver_copy(m.from, m.to, frame, m.id, m.sent_at);
 }
 
 void Network::deliver_pending(std::size_t index) {

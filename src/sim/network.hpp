@@ -35,17 +35,28 @@
 // per-link histograms. Both hooks default to off and cost one pointer test
 // per message when off; ids are always assigned (one increment) so replay
 // tooling can correlate runs.
+//
+// Frames in flight: send() takes a view and copies the bytes into the
+// message copy's slab slot — inline up to kInlineFrame bytes (every commit
+// protocol frame), otherwise into a reused spill string. Delivery hands
+// them to the handler through a reused per-nesting-depth buffer, so a
+// small message allocates nothing from send to handler once the slabs
+// have grown to the run's peak.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -111,6 +122,10 @@ class Network {
  public:
   using Handler =
       std::function<void(NodeAddr from, const std::string& payload)>;
+
+  /// Largest frame kept inline in an in-flight slot (which is then 64
+  /// bytes); larger frames spill to heap storage.
+  static constexpr std::size_t kInlineFrame = 36;
 
   /// Throws std::invalid_argument for a degenerate latency model.
   Network(Scheduler& sched, Rng rng, LatencyModel latency = {});
@@ -183,7 +198,7 @@ class Network {
   /// messages between the same pair of nodes may be reordered — the
   /// protocol layer must tolerate this (and the commit FSM does).
   /// Returns the message's causal id.
-  std::uint64_t send(NodeAddr from, NodeAddr to, std::string payload);
+  std::uint64_t send(NodeAddr from, NodeAddr to, std::string_view payload);
 
   // ---- Manual delivery mode (systematic schedule exploration). ----
   //
@@ -261,6 +276,19 @@ class Network {
   /// network seed and the (from, to) pair — creation order is irrelevant.
   LinkState& link(NodeAddr from, NodeAddr to);
 
+  /// One scheduled message copy. A frame of up to kInlineFrame bytes sits
+  /// in `bytes`; a larger one lives in spilled_, and `bytes` holds its
+  /// index there.
+  struct InFlight {
+    std::uint64_t id;
+    Time sent_at;
+    NodeAddr from;
+    NodeAddr to;
+    std::uint32_t size;
+    std::array<char, kInlineFrame> bytes;
+  };
+  static_assert(sizeof(InFlight) == 64, "one cache line per slot");
+
   /// Terminal step of one message copy: account, trace and hand to the
   /// receiver's handler (or the dead-node sink).
   void deliver_copy(NodeAddr from, NodeAddr to, const std::string& payload,
@@ -269,7 +297,8 @@ class Network {
   /// Park a message copy in the in-flight slab until its delivery event;
   /// the event then captures only the slot index, which keeps the closure
   /// within std::function's inline storage.
-  std::uint32_t park(PendingMessage message);
+  std::uint32_t park(NodeAddr from, NodeAddr to, std::string_view payload,
+                     std::uint64_t id, Time sent_at);
   /// Release a parked copy and deliver it.
   void deliver_parked(std::uint32_t slot);
 
@@ -280,8 +309,15 @@ class Network {
   double duplicate_probability_ = 0.0;
   bool manual_mode_ = false;
   std::vector<PendingMessage> pending_;
-  std::vector<PendingMessage> in_flight_;  // Scheduled copies, by slot.
+  std::vector<InFlight> in_flight_;  // Scheduled copies, by slot.
   std::vector<std::uint32_t> free_in_flight_;
+  std::vector<std::string> spilled_;  // Frames too large for a slot.
+  std::vector<std::uint32_t> free_spilled_;
+  // Delivery buffers, one per nesting depth (a handler may deliver
+  // again, e.g. by running the scheduler): a deque, so a deeper level
+  // never moves a buffer an outer handler still reads.
+  std::deque<std::string> frames_;
+  std::size_t frame_depth_ = 0;
   std::unordered_map<NodeAddr, Handler> handlers_;
   std::set<std::pair<NodeAddr, NodeAddr>> partitions_;
   std::map<std::pair<NodeAddr, NodeAddr>, LinkState> links_;

@@ -146,14 +146,30 @@ bool Scheduler::fire_next() {
   // happened at their time, and time measurements must not see them.
   if (is_cancelled(id)) return false;
   now_ = when;
+  // Actions may run the scheduler themselves: restore the outer event.
+  const std::uint64_t outer = running_;
+  const bool outer_cancelled = running_cancelled_;
+  running_ = id;
+  running_cancelled_ = false;
   action();
+  running_ = outer;
+  running_cancelled_ = outer_cancelled;
   return true;
+}
+
+void Scheduler::cancel(std::uint64_t id) {
+  if (id != 0 && id == running_) {
+    if (!running_cancelled_) ++stats_.cancelled;
+    running_cancelled_ = true;
+    return;
+  }
+  if (cancelled_.try_emplace(id).second) ++stats_.cancelled;
 }
 
 bool Scheduler::is_cancelled(std::uint64_t id) {
   // Erase on fire: each id passes here exactly once, so the set holds only
   // cancellations whose event has not fired yet.
-  if (!cancelled_.empty() && cancelled_.erase(id) > 0) {
+  if (!cancelled_.empty() && cancelled_.erase(id)) {
     ++stats_.discarded;
     return true;
   }

@@ -21,8 +21,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
+
+#include "sim/flat_map.hpp"
 
 namespace asa_repro::sim {
 
@@ -66,9 +67,10 @@ class Scheduler {
 
   /// Cancel a pending event. Cancelling an already-fired or unknown id is a
   /// harmless no-op (common for timeout events raced by completions).
-  void cancel(std::uint64_t id) {
-    if (cancelled_.insert(id).second) ++stats_.cancelled;
-  }
+  /// Repeated cancels of one id count once in stats().cancelled. An event
+  /// that cancels itself while it runs (a timeout handler finishing its
+  /// own operation) is counted but not remembered: it can never fire again.
+  void cancel(std::uint64_t id);
 
   /// Run events until the queue is empty or `deadline` is passed.
   /// Returns the number of events executed.
@@ -82,6 +84,11 @@ class Scheduler {
   [[nodiscard]] std::size_t pending() const { return pending_; }
 
   [[nodiscard]] const SchedulerStats& stats() const { return stats_; }
+
+  /// Cancelled ids still held until their event fires.
+  [[nodiscard]] std::size_t pending_cancels() const {
+    return cancelled_.size();
+  }
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
@@ -143,7 +150,10 @@ class Scheduler {
   // Cancelled-but-not-yet-fired ids. O(1) lookup/erase: endpoint retry
   // timers make cancel-then-fire a hot path under chaos fault load, where
   // the former linear scan was quadratic in outstanding timeouts.
-  std::unordered_set<std::uint64_t> cancelled_;
+  struct Mark {};
+  FlatMap<Mark> cancelled_;
+  std::uint64_t running_ = 0;  // Id of the event whose action runs (0: none).
+  bool running_cancelled_ = false;  // It cancelled itself.
   SchedulerStats stats_;
 };
 

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
+#include "commit/endpoint.hpp"
 #include "commit/machine_cache.hpp"
 #include "commit/peer.hpp"
+#include "obs/metrics.hpp"
 
 namespace asa_repro::commit {
 namespace {
@@ -237,6 +240,204 @@ TEST(Peer, HistoryForUnknownGuidIsEmpty) {
   PeerHarness h;
   EXPECT_TRUE(h.peer->history(999).empty());
   EXPECT_EQ(h.peer->live_instances(999), 0u);
+}
+
+// ---- The per-GUID table under load ----
+
+/// FNV-1a over everything a contended run makes observable.
+class Digest {
+ public:
+  void add(std::string_view bytes) {
+    for (const char c : bytes) {
+      hash_ = (hash_ ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ull;
+    }
+  }
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ull;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+/// 10k GUIDs, three endpoints each updating every GUID at once on an r=4
+/// peer set with abort scans: vote splits, aborts, retries and sibling
+/// free/not_free fan-out on every GUID. Mid-run one peer reconciles and
+/// another imports histories, and every peer collects finished instances
+/// periodically. Returns the digest of the trace (drained as the run goes,
+/// to keep memory flat), the metrics export, every history, all statistics
+/// and every commit result.
+struct ContendedRun {
+  std::uint64_t trace = 0;
+  std::uint64_t metrics = 0;
+  std::uint64_t state = 0;
+  std::uint64_t commits = 0;
+  std::uint64_t aborts = 0;
+  std::uint64_t collected = 0;
+  std::uint64_t reconciled = 0;
+  std::uint64_t imported = 0;
+  std::size_t max_resident = 0;  // Instances of one GUID on one peer.
+};
+
+ContendedRun run_contended(std::uint64_t seed) {
+  constexpr std::uint32_t kR = 4;
+  constexpr std::uint64_t kGuids = 10'000;
+  constexpr sim::Time kSpacing = 20;  // Between GUID submissions.
+  constexpr sim::Time kDrainEvery = 5'000;
+  constexpr sim::Time kCollectEvery = 50'000;
+  constexpr sim::Time kHorizon = 3'000'000;
+
+  MachineCache cache;
+  sim::Scheduler sched;
+  sim::Network network(sched, sim::Rng(seed), sim::LatencyModel{500, 5'000});
+  sim::Trace trace;
+  obs::MetricsRegistry metrics;
+  network.set_trace(&trace);
+  std::vector<sim::NodeAddr> addrs;
+  for (sim::NodeAddr a = 0; a < kR; ++a) addrs.push_back(a);
+  std::vector<std::unique_ptr<CommitPeer>> peers;
+  for (const sim::NodeAddr a : addrs) {
+    peers.push_back(std::make_unique<CommitPeer>(
+        network, a, addrs, cache.machine_for(kR), Behaviour::kHonest, &trace));
+    peers.back()->set_metrics(&metrics);
+    peers.back()->enable_abort(60'000, 80'000);
+  }
+  std::vector<std::unique_ptr<CommitEndpoint>> endpoints;
+  for (sim::NodeAddr e = 0; e < 3; ++e) {
+    endpoints.push_back(std::make_unique<CommitEndpoint>(
+        network, 100 + e, addrs, 1, RetryPolicy{},
+        sim::Rng(sim::Rng::derive_seed(seed, 100 + e))));
+    endpoints.back()->set_metrics(&metrics);
+  }
+  auto guid = [seed](std::uint64_t i) {
+    return sim::Rng::derive_seed(seed, 1'000'000 + i);
+  };
+
+  ContendedRun out;
+  Digest trace_digest;
+  Digest results;
+  auto drain = [&] {
+    for (const sim::TraceEvent& e : trace.events()) {
+      trace_digest.add(e.time);
+      trace_digest.add(e.node);
+      trace_digest.add(e.category);
+      trace_digest.add(e.detail);
+    }
+    trace = sim::Trace();
+  };
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    sched.schedule_at(i * kSpacing, [&, i] {
+      for (std::size_t e = 0; e < endpoints.size(); ++e) {
+        endpoints[e]->submit(
+            guid(i), i * 8 + e + 1, [&results](const CommitResult& r) {
+              results.add(r.committed ? 1 : 0);
+              results.add(r.request_id);
+              results.add(r.update_id);
+              results.add(r.attempts);
+              results.add(r.latency);
+            });
+      }
+    });
+  }
+  for (sim::Time t = kDrainEvery; t <= kHorizon; t += kDrainEvery) {
+    sched.schedule_at(t, drain);
+  }
+  for (sim::Time t = kCollectEvery; t <= kHorizon; t += kCollectEvery) {
+    sched.schedule_at(t, [&] {
+      for (std::uint64_t i = 0; i < kGuids; ++i) {
+        for (const auto& p : peers) {
+          out.max_resident =
+              std::max(out.max_resident, p->resident_instances(guid(i)));
+        }
+      }
+      for (const auto& p : peers) out.collected += p->collect_finished();
+    });
+  }
+  // Mid-run membership repair: one peer merges donor histories into its
+  // own, another adopts them where it has none yet.
+  sched.schedule_at(150'000, [&] {
+    for (std::uint64_t i = 0; i < kGuids; i += 7) {
+      const std::vector<CommitPeer::CommittedEntry> donor =
+          peers[0]->history(guid(i));
+      out.reconciled += peers[3]->reconcile_history(guid(i), donor);
+    }
+    for (std::uint64_t i = 3; i < kGuids; i += 11) {
+      const std::vector<CommitPeer::CommittedEntry> donor =
+          peers[1]->history(guid(i));
+      if (!donor.empty() && peers[2]->history(guid(i)).empty() &&
+          peers[2]->import_history(guid(i), donor)) {
+        ++out.imported;
+      }
+    }
+  });
+  sched.run();
+  drain();
+  out.trace = trace_digest.value();
+  out.metrics = [&] {
+    Digest d;
+    d.add(obs::write_metrics_json(metrics, {}));
+    return d.value();
+  }();
+
+  Digest state;
+  for (const auto& p : peers) {
+    const PeerStats& s = p->stats();
+    for (const std::uint64_t v :
+         {s.updates_received, s.votes_received, s.commits_received,
+          s.duplicates_dropped, s.votes_sent, s.commits_sent, s.committed,
+          s.aborted}) {
+      state.add(v);
+    }
+    out.aborts += s.aborted;
+    for (std::uint64_t i = 0; i < kGuids; ++i) {
+      state.add(p->resident_instances(guid(i)));
+      state.add(p->live_instances(guid(i)));
+      for (const CommitPeer::CommittedEntry& e : p->history(guid(i))) {
+        state.add(e.update_id);
+        state.add(e.request_id);
+        state.add(e.payload);
+      }
+    }
+  }
+  for (const auto& e : endpoints) {
+    out.commits += e->stats().committed;
+    state.add(e->stats().committed);
+    state.add(e->stats().retries);
+    state.add(e->stats().failures);
+  }
+  const sim::SchedulerStats& ss = sched.stats();
+  for (const std::uint64_t v : {ss.scheduled, ss.executed, ss.cancelled,
+                                ss.discarded,
+                                std::uint64_t{ss.max_queue_depth}}) {
+    state.add(v);
+  }
+  const sim::NetworkStats& ns = network.stats();
+  for (const std::uint64_t v : {ns.sent, ns.delivered, ns.dropped}) {
+    state.add(v);
+  }
+  state.add(results.value());
+  out.state = state.value();
+  return out;
+}
+
+TEST(PeerTable, ContendedRunMatchesPinnedDigest) {
+  const ContendedRun run = run_contended(7);
+  // The scenario exercises what it claims to.
+  EXPECT_EQ(run.commits, 30'000u);
+  EXPECT_GT(run.aborts, 0u);
+  EXPECT_GT(run.collected, 0u);
+  EXPECT_GT(run.reconciled, 0u);
+  EXPECT_GT(run.imported, 0u);
+  EXPECT_GE(run.max_resident, 3u);
+  // Pinned to the run of the std::map-per-GUID peer this table replaced:
+  // sibling fan-out order, abort scan order and collection order are all
+  // observable, so any reordering changes these.
+  EXPECT_EQ(run.trace, 0x01a079d5a403c0c2ull);
+  EXPECT_EQ(run.metrics, 0x9c6ab8fe088a626bull);
+  EXPECT_EQ(run.state, 0x9168bac3eeb05f74ull);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/flat_map.hpp"
 #include "sim/network.hpp"
 #include "sim/sequence.hpp"
 #include "sim/rng.hpp"
@@ -272,6 +273,145 @@ TEST_F(NetworkTest, ReorderingIsPossible) {
   EXPECT_FALSE(std::is_sorted(arrivals.begin(), arrivals.end()));
 }
 
+// ---- Frames in flight: inline slots and spill storage. ----
+
+/// Frames of every size class around the slot's inline capacity, each a
+/// distinct byte pattern (with NULs and high bytes) so a mix-up shows.
+std::vector<std::string> frames_across_inline_boundary() {
+  std::vector<std::string> frames;
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{33},
+        Network::kInlineFrame, Network::kInlineFrame + 1,
+        std::size_t{4096}}) {
+    std::string f(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      f[i] = static_cast<char>((i * 131 + size * 7) & 0xFF);
+    }
+    frames.push_back(f);
+  }
+  return frames;
+}
+
+TEST_F(NetworkTest, FramesRoundTripAcrossInlineBoundary) {
+  const std::vector<std::string> frames = frames_across_inline_boundary();
+  std::multiset<std::string> received;
+  network_.attach(2, [&](NodeAddr, const std::string& p) {
+    received.insert(p);
+  });
+  // Twice: the second round reuses freed slots and spill strings.
+  for (int round = 0; round < 2; ++round) {
+    received.clear();
+    for (const std::string& f : frames) network_.send(1, 2, f);
+    sched_.run();
+    EXPECT_EQ(received,
+              std::multiset<std::string>(frames.begin(), frames.end()));
+  }
+}
+
+TEST_F(NetworkTest, DuplicatedFramesArriveByteExactTwice) {
+  network_.set_duplicate_probability(1.0);
+  const std::vector<std::string> frames = frames_across_inline_boundary();
+  std::multiset<std::string> received;
+  network_.attach(2, [&](NodeAddr, const std::string& p) {
+    received.insert(p);
+  });
+  for (const std::string& f : frames) network_.send(1, 2, f);
+  sched_.run();
+  std::multiset<std::string> expected(frames.begin(), frames.end());
+  expected.insert(frames.begin(), frames.end());
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(network_.stats().duplicated, frames.size());
+}
+
+TEST_F(NetworkTest, ManualModeFramesRoundTrip) {
+  network_.set_manual_mode(true);
+  network_.set_duplicate_probability(1.0);
+  const std::vector<std::string> frames = frames_across_inline_boundary();
+  std::vector<std::string> received;
+  network_.attach(2, [&](NodeAddr, const std::string& p) {
+    received.push_back(p);
+  });
+  for (const std::string& f : frames) network_.send(1, 2, f);
+  ASSERT_EQ(network_.pending_count(), 2 * frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(network_.pending_payload(2 * i), frames[i]);
+    EXPECT_EQ(network_.pending_payload(2 * i + 1), frames[i]);
+  }
+  while (network_.pending_count() > 0) network_.deliver_pending(0);
+  ASSERT_EQ(received.size(), 2 * frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(received[2 * i], frames[i]);
+    EXPECT_EQ(received[2 * i + 1], frames[i]);
+  }
+}
+
+TEST_F(NetworkTest, HandlerSendingDuringDeliveryKeepsItsFrame) {
+  const std::vector<std::string> frames = frames_across_inline_boundary();
+  std::multiset<std::string> received;
+  int depth = 0;
+  network_.attach(3, [](NodeAddr, const std::string&) {});
+  network_.attach(2, [&](NodeAddr, const std::string& p) {
+    const std::string before = p;
+    ++depth;
+    // Reuse every slot and spill string this delivery freed...
+    for (const std::string& f : frames) network_.send(2, 3, f);
+    // ...and, in the first delivery, run every other one nested inside it.
+    if (depth == 1) sched_.run();
+    EXPECT_EQ(p, before);
+    received.insert(p);
+    --depth;
+  });
+  for (const std::string& f : frames) network_.send(1, 2, f);
+  sched_.run();
+  EXPECT_EQ(received, std::multiset<std::string>(frames.begin(), frames.end()));
+}
+
+// ---- FlatMap. ----
+
+TEST(FlatMap, MatchesStdMapUnderRandomInsertAndErase) {
+  // Sequential keys (request and update ids), random keys (GUIDs) and a
+  // narrow range that forces long probe runs and erase back-shifts.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    FlatMap<std::uint64_t> map;
+    std::map<std::uint64_t, std::uint64_t> reference;
+    std::uint64_t next = 1;
+    for (int step = 0; step < 20'000; ++step) {
+      std::uint64_t key = 0;
+      switch (rng.below(3)) {
+        case 0:
+          key = next++;
+          break;
+        case 1:
+          key = rng();
+          break;
+        default:
+          key = rng.below(512);
+          break;
+      }
+      if (rng.below(3) == 0) {
+        ASSERT_EQ(map.erase(key), reference.erase(key) > 0) << seed;
+      } else {
+        auto [value, inserted] = map.try_emplace(key);
+        const bool fresh = !reference.contains(key);
+        ASSERT_EQ(inserted, fresh) << seed;
+        ASSERT_EQ(value, fresh ? 0 : reference[key]) << seed;
+        value = key ^ static_cast<std::uint64_t>(step);
+        reference[key] = value;
+      }
+      ASSERT_EQ(map.size(), reference.size());
+    }
+    for (const auto& [key, value] : reference) {
+      const std::uint64_t* found = map.find(key);
+      ASSERT_NE(found, nullptr) << seed;
+      EXPECT_EQ(*found, value) << seed;
+    }
+    std::map<std::uint64_t, std::uint64_t> iterated;
+    for (const auto& entry : map) iterated.emplace(entry.key, entry.value);
+    EXPECT_EQ(iterated, reference) << seed;
+  }
+}
+
 // ---- Trace. ----
 
 TEST(Trace, RecordsAndCounts) {
@@ -370,10 +510,35 @@ TEST(Scheduler, CancelFromWithinEvent) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Scheduler, SelfCancelledEventIsNotHeld) {
+  // A timeout that finishes its own operation cancels its own id, which
+  // has already fired: the cancel is counted (once, however often it is
+  // repeated) but nothing is held for an event that can never fire again.
+  Scheduler sched;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 1'000; ++i) {
+    const std::size_t index = ids.size();
+    ids.push_back(sched.schedule_at(static_cast<Time>(10 + i), [&, index] {
+      sched.cancel(ids[index]);
+      sched.cancel(ids[index]);
+    }));
+  }
+  const auto victim = sched.schedule_at(5'000, [] {});
+  sched.cancel(victim);
+  sched.cancel(victim);
+  EXPECT_EQ(sched.pending_cancels(), 1u);
+  sched.run();
+  EXPECT_EQ(sched.pending_cancels(), 0u);
+  EXPECT_EQ(sched.stats().cancelled, 1'001u);
+  EXPECT_EQ(sched.stats().discarded, 1u);
+  EXPECT_EQ(sched.stats().executed, 1'000u);
+}
+
 // ---- Scheduler conformance against a reference priority queue ----
 
 /// The reference semantics: one priority queue over (when, id) holding the
 /// actions, a cancelled-id set consumed at fire, and the same statistics.
+/// An event cancelling itself while it runs is counted once and not held.
 /// The timing-wheel Scheduler must be indistinguishable from it.
 class ReferenceScheduler {
  public:
@@ -392,6 +557,11 @@ class ReferenceScheduler {
     return schedule_at(now_ + delay, std::move(action));
   }
   void cancel(std::uint64_t id) {
+    if (id != 0 && id == running_) {
+      if (!running_cancelled_) ++stats_.cancelled;
+      running_cancelled_ = true;
+      return;
+    }
     if (cancelled_.insert(id).second) ++stats_.cancelled;
   }
 
@@ -437,7 +607,10 @@ class ReferenceScheduler {
       return false;
     }
     now_ = ev.when;
+    running_ = ev.id;
+    running_cancelled_ = false;
     ev.action();
+    running_ = 0;
     return true;
   }
 
@@ -445,6 +618,8 @@ class ReferenceScheduler {
   std::uint64_t next_id_ = 1;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::set<std::uint64_t> cancelled_;
+  std::uint64_t running_ = 0;
+  bool running_cancelled_ = false;
   SchedulerStats stats_;
 };
 
