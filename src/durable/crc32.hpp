@@ -2,8 +2,9 @@
 //
 // Every journal frame carries two checksums (header and payload) so that
 // recovery can distinguish a torn tail (truncate) from an isolated bit-rot
-// hit (skip one record) — see journal.hpp. Table-driven, byte at a time;
-// the journal write path is not a throughput hot path.
+// hit (skip one record) — see journal.hpp. Slice-by-8: eight table
+// lookups fold eight bytes per step, because every acknowledged commit,
+// every changed snapshot frame and every recovered record is checksummed.
 #pragma once
 
 #include <cstdint>

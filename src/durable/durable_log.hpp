@@ -30,6 +30,16 @@
 // journal; a corrupt snapshot at recovery is flagged and its intact
 // frames still applied.
 //
+// Write cost: a commit encodes its 46-byte frame on the stack and finds
+// its GUID once in the image (dedupe scans that GUID's history). It
+// allocates only the image entry of a new GUID and the growth of the
+// history vector. A snapshot
+// costs O(changed) encoding plus one copy of the image's bytes: commits
+// and imports mark their GUID dirty, the snapshot encodes and checksums
+// only the dirty GUIDs and copies every other frame, in runs, from the
+// previous encoded snapshot kept in memory. recover(), and more dirty
+// marks than GUIDs, make the next snapshot encode every GUID.
+//
 // Sync watermark: commit records are acknowledged, so they are "synced" —
 // the watermark advances past them and a partial flush (kFlushDrop chaos
 // fault) can never cut into them. Import/membership records written since
@@ -40,8 +50,8 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "durable/journal.hpp"
@@ -116,7 +126,8 @@ class DurableLog {
 
   /// Drop up to `max_records` whole records from the unsynced tail
   /// (partial flush / page-cache loss). Never cuts acknowledged commit
-  /// records. Returns records dropped.
+  /// records. Returns records dropped: 0 when the medium refuses the
+  /// truncate, and the records stay droppable by a later call.
   std::size_t drop_unsynced_tail(std::size_t max_records);
 
   /// The journaled per-GUID history image (what replay reconstructed
@@ -135,10 +146,22 @@ class DurableLog {
   }
 
  private:
+  /// A GUID whose history changed since the last snapshot was encoded.
+  struct Dirty {
+    std::uint64_t guid;
+    const std::vector<Entry>* history;  // Its image entry (map nodes are
+                                        // stable until recover()).
+  };
+
   /// Repair any torn tail, then append one frame. Updates valid_size_.
-  bool append_frame(const std::string& frame);
+  bool append_frame(std::string_view frame);
   void apply_commit(std::string_view payload);
   void apply_import(std::string_view payload);
+  /// `history` (the image entry of `guid`) changed.
+  void mark_dirty(std::uint64_t guid, const std::vector<Entry>& history);
+  /// Re-encode snapshot_ for the current image: dirty GUIDs are encoded
+  /// afresh, every other frame is copied from the previous snapshot_.
+  void encode_snapshot();
   void maybe_snapshot();
 
   StorageMedium& medium_;
@@ -147,7 +170,11 @@ class DurableLog {
   std::size_t snapshot_every_;
 
   GuidHistories image_;
-  std::map<std::uint64_t, std::set<std::uint64_t>> seen_;  // update ids.
+
+  std::string snapshot_;      // The last encoded snapshot.
+  std::string scratch_;       // Import frames; the next snapshot.
+  std::vector<Dirty> dirty_;  // Changed since snapshot_; may repeat.
+  bool all_dirty_ = true;     // The next snapshot encodes every GUID.
 
   std::size_t valid_size_ = 0;        // Well-framed journal prefix length.
   std::size_t synced_watermark_ = 0;  // Journal size after last commit.

@@ -5,45 +5,43 @@
 namespace asa_repro::durable {
 
 void put_u32(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-  }
+  char bytes[4];
+  store_u32(bytes, value);
+  out.append(bytes, sizeof bytes);
 }
 
 void put_u64(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-  }
+  char bytes[8];
+  store_u64(bytes, value);
+  out.append(bytes, sizeof bytes);
 }
 
 std::uint32_t get_u32(std::string_view bytes, std::size_t offset) {
   if (offset + 4 > bytes.size()) return 0;
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) |
-            static_cast<std::uint8_t>(bytes[offset + static_cast<std::size_t>(i)]);
-  }
-  return value;
+  return load_u32(bytes.data() + offset);
 }
 
 std::uint64_t get_u64(std::string_view bytes, std::size_t offset) {
   if (offset + 8 > bytes.size()) return 0;
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) |
-            static_cast<std::uint8_t>(bytes[offset + static_cast<std::size_t>(i)]);
-  }
-  return value;
+  return load_u64(bytes.data() + offset);
+}
+
+void write_frame_header(char* out, RecordType type,
+                        std::uint32_t payload_size, std::uint32_t payload_crc) {
+  out[0] = kJournalMagic;
+  out[1] = static_cast<char>(type);
+  store_u32(out + 2, payload_size);
+  store_u32(out + 6, payload_crc);
+  store_u32(out + 10, crc32(std::string_view(out, 10)));
 }
 
 std::string encode_frame(RecordType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderSize + payload.size());
-  frame.push_back(kJournalMagic);
-  frame.push_back(static_cast<char>(type));
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  put_u32(frame, crc32(std::string_view(frame.data(), 10)));
+  frame.resize(kFrameHeaderSize);
+  write_frame_header(frame.data(), type,
+                     static_cast<std::uint32_t>(payload.size()),
+                     crc32(payload));
   frame.append(payload);
   return frame;
 }

@@ -64,6 +64,12 @@ struct ScanResult {
 [[nodiscard]] std::string encode_frame(RecordType type,
                                        std::string_view payload);
 
+/// Fill out[0, kFrameHeaderSize) with the header of a `type` frame whose
+/// payload is `payload_size` bytes with CRC-32 `payload_crc` — for
+/// writers that encode a frame in place, without a payload string.
+void write_frame_header(char* out, RecordType type,
+                        std::uint32_t payload_size, std::uint32_t payload_crc);
+
 /// Scan `bytes` front to back applying the torn-tail / CRC-skip rules
 /// documented above. Never throws; a scan of garbage yields zero records
 /// and truncated_bytes == bytes.size().
@@ -73,6 +79,34 @@ struct ScanResult {
 
 void put_u32(std::string& out, std::uint32_t value);
 void put_u64(std::string& out, std::uint64_t value);
+/// Store at `out` (which must have room), for encoders that fill a
+/// preallocated buffer.
+inline void store_u32(char* out, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+  }
+}
+inline void store_u64(char* out, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+  }
+}
+/// Load from `in` (which must hold the bytes), for decoders of buffers
+/// they encoded themselves.
+inline std::uint32_t load_u32(const char* in) {
+  std::uint32_t value = 0;
+  for (int i = 3; i >= 0; --i) {
+    value = (value << 8) | static_cast<std::uint8_t>(in[i]);
+  }
+  return value;
+}
+inline std::uint64_t load_u64(const char* in) {
+  std::uint64_t value = 0;
+  for (int i = 7; i >= 0; --i) {
+    value = (value << 8) | static_cast<std::uint8_t>(in[i]);
+  }
+  return value;
+}
 /// Read at `offset`; returns 0 when out of range (callers bounds-check
 /// via payload length before trusting values).
 [[nodiscard]] std::uint32_t get_u32(std::string_view bytes,

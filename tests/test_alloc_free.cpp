@@ -2,8 +2,10 @@
 // slabs have grown to a run's peak, delivering votes and commits to
 // existing machine instances — including every send those deliveries
 // trigger, the network's hand-over of each frame and the endpoint's
-// handling of the acknowledgements — makes no heap allocation. Global
-// operator new is replaced in this binary to count allocations.
+// handling of the acknowledgements — makes no heap allocation. The same
+// holds for the durable journal's commit append to a GUID it already
+// holds. Global operator new is replaced in this binary to count
+// allocations.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,6 +16,8 @@
 #include "commit/endpoint.hpp"
 #include "commit/machine_cache.hpp"
 #include "commit/peer.hpp"
+#include "durable/durable_log.hpp"
+#include "durable/storage_medium.hpp"
 
 namespace {
 
@@ -102,6 +106,35 @@ TEST(HotPath, VotesAndCommitsToExistingInstancesAllocateNothing) {
   EXPECT_EQ(stack.round(0, kGuids), 0u);
   EXPECT_EQ(stack.committed() - committed, kGuids);
   EXPECT_GE(stack.votes_and_commits() - messages, 4 * 6 * kGuids);
+}
+
+TEST(HotPath, DurableCommitsToExistingGuidsAllocateNothing) {
+  constexpr std::uint64_t kGuids = 2'000;
+  durable::MemMedium medium;
+  durable::DurableLog log(medium, "node", /*snapshot_every=*/0);
+  // Grow the journal's buffer past all the commits below (46 bytes each):
+  // an unsynced tail of 23-byte membership records, then cut off again.
+  constexpr std::size_t kFiller = 20'000;
+  for (std::size_t i = 0; i < kFiller; ++i) log.record_membership(true, i);
+  ASSERT_EQ(log.drop_unsynced_tail(kFiller), kFiller);
+  // Two commits per GUID: each history vector reaches capacity 2.
+  for (int r = 0; r < 2; ++r) {
+    for (std::uint64_t g = 0; g < kGuids; ++g) {
+      ASSERT_TRUE(log.record_commit(g, 2 * g + r, g, g + 1));
+    }
+  }
+  // Grow each history to capacity 4 and fill it to 3.
+  for (std::uint64_t g = 0; g < kGuids; ++g) {
+    ASSERT_TRUE(log.record_commit(g, 10'000 + g, g, g + 1));
+  }
+  std::uint64_t recorded = 0;
+  const std::uint64_t before = g_allocations;
+  for (std::uint64_t g = 0; g < kGuids; ++g) {
+    recorded += log.record_commit(g, 20'000 + g, g, g + 1) ? 1 : 0;
+  }
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(recorded, kGuids);
+  EXPECT_EQ(log.writer_stats().commits_recorded, 4 * kGuids);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "durable/crc32.hpp"
@@ -34,6 +36,40 @@ TEST(Crc32, MatchesKnownVectors) {
   EXPECT_EQ(durable::crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(durable::crc32(""), 0u);
   EXPECT_NE(durable::crc32("a"), durable::crc32("b"));
+}
+
+/// The textbook bitwise CRC-32 the table-driven one must reproduce.
+std::uint32_t crc32_bitwise(std::string_view bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char byte : bytes) {
+    c ^= static_cast<std::uint8_t>(byte);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..257 cover the byte tail alone, whole 8-byte slices and
+  // every mix; offsets 0..7 cover every alignment of the slice loads.
+  std::uint64_t state = 2024;
+  std::string buffer(8 + 257, '\0');
+  for (char& c : buffer) c = static_cast<char>(splitmix64(state));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(durable::crc32(bytes), crc32_bitwise(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 // ---- Frame encode / scan. ----
@@ -279,6 +315,26 @@ TEST(DurableLog, DropUnsyncedTailNeverCutsAcknowledgedCommits) {
   EXPECT_FALSE(reopened.histories().contains(9));
 }
 
+TEST(DurableLog, DropUnsyncedTailOnRefusingMediumKeepsTheRecords) {
+  MemMedium medium;
+  DurableLog log(medium, "node", 0);
+  ASSERT_TRUE(log.record_commit(7, 100, 1000, 11));
+  ASSERT_TRUE(log.record_import(9, {{200, 2000, 5}}));
+  ASSERT_TRUE(log.record_membership(true, 3));
+  const std::size_t size = log.journal_size();
+
+  // A stalled disk refuses the truncate: nothing is dropped, and the
+  // records stay within reach of the next partial flush.
+  medium.set_stalled(true);
+  EXPECT_EQ(log.drop_unsynced_tail(100), 0u);
+  EXPECT_EQ(log.journal_size(), size);
+  EXPECT_EQ(log.writer_stats().tail_records_dropped, 0u);
+  medium.set_stalled(false);
+  EXPECT_EQ(log.drop_unsynced_tail(100), 2u);
+  EXPECT_EQ(log.writer_stats().tail_records_dropped, 2u);
+  EXPECT_EQ(log.journal_size(), durable::kFrameHeaderSize + 4 * 8);
+}
+
 TEST(DurableLog, CommitAdvancesWatermarkPastEarlierImports) {
   MemMedium medium;
   DurableLog log(medium, "node", 0);
@@ -301,6 +357,137 @@ TEST(DurableLog, ImportReplayReplacesNotMerges) {
   ASSERT_EQ(reopened.histories().at(7).size(), 2u);
   EXPECT_EQ(reopened.histories().at(7)[0].payload, 22u);
   EXPECT_EQ(reopened.histories().at(7)[1].payload, 11u);
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
+  std::string bytes;
+  durable::put_u64(bytes, value);
+  return fnv1a(h, bytes);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const durable::GuidHistories& image) {
+  for (const auto& [guid, entries] : image) {
+    h = fnv1a(fnv1a(h, guid), entries.size());
+    for (const Entry& e : entries) {
+      h = fnv1a(fnv1a(fnv1a(h, e.update_id), e.request_id), e.payload);
+    }
+  }
+  return h;
+}
+
+TEST(DurableLog, MediumBytesMatchPinnedDigest) {
+  // A seeded script over a few thousand GUIDs: commits to new and
+  // existing GUIDs, duplicate commits, reordering imports, membership
+  // records, partial flushes, a torn write, a stall, a full disk that
+  // refuses a snapshot, and a recovery partway through followed by more
+  // commits. Every snapshot the medium holds, the journal at checkpoints
+  // and the final image are folded into digests pinned to what the
+  // straightforward encoder (every GUID re-encoded at every snapshot)
+  // wrote; any change to the bytes on the medium fails this test.
+  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;
+  MemMedium medium;
+  DurableLog log(medium, "pin", /*snapshot_every=*/16);
+  std::uint64_t state = 14;
+  const auto next = [&state] { return splitmix64(state); };
+  std::vector<std::uint64_t> guids;
+  std::vector<Entry> acked;  // With their GUIDs in acked_guids.
+  std::vector<std::uint64_t> acked_guids;
+  std::uint64_t snapshot_digest = kBasis;
+  std::uint64_t journal_digest = kBasis;
+  std::uint64_t recovered_digest = kBasis;
+  std::uint64_t attempts_seen = 0;
+  bool stalled = false;
+  for (int step = 0; step < 8000; ++step) {
+    if (step == 1500) medium.arm_torn_write();
+    if (step == 2500) stalled = true;
+    if (step == 2540) stalled = false;
+    medium.set_stalled(stalled);
+    if (step == 3500) medium.set_capacity(medium.used() + 600);
+    if (step == 3600) medium.set_capacity(std::nullopt);
+    if (step == 4000) {
+      journal_digest = fnv1a(journal_digest, log.histories());
+      const RecoveryStats stats = log.recover();
+      recovered_digest = fnv1a(fnv1a(recovered_digest, log.histories()),
+                               stats.replayed_records);
+    }
+    const std::uint64_t roll = next() % 100;
+    if (roll < 50 || guids.size() < 16) {
+      std::uint64_t guid = 0;
+      if (guids.size() < 16 || next() % 100 < 60) {
+        guid = next();
+        guids.push_back(guid);
+      } else if (roll < 20) {
+        guid = guids[next() % 8];  // A hot GUID with a long history.
+      } else {
+        guid = guids[next() % guids.size()];
+      }
+      const Entry e{next(), next(), next()};
+      if (log.record_commit(guid, e.update_id, e.request_id, e.payload)) {
+        acked.push_back(e);
+        acked_guids.push_back(guid);
+      }
+    } else if (roll < 65) {
+      if (!acked.empty()) {
+        const std::size_t i = next() % acked.size();
+        EXPECT_TRUE(log.record_commit(acked_guids[i], acked[i].update_id,
+                                      acked[i].request_id, acked[i].payload) ||
+                    stalled);
+      }
+    } else if (roll < 77) {
+      const std::uint64_t guid = guids[next() % guids.size()];
+      std::vector<Entry> history;
+      if (const auto it = log.histories().find(guid);
+          it != log.histories().end()) {
+        history.assign(it->second.rbegin(), it->second.rend());
+      }
+      if (next() % 2 == 0) history.push_back(Entry{next(), next(), next()});
+      log.record_import(guid, history);
+    } else if (roll < 90) {
+      log.record_membership(next() % 2 == 0, next() % 64);
+    } else if (!stalled) {
+      log.drop_unsynced_tail(1 + next() % 3);
+    }
+    const durable::WriterStats& w = log.writer_stats();
+    if (w.snapshots_written + w.snapshot_failures != attempts_seen) {
+      attempts_seen = w.snapshots_written + w.snapshot_failures;
+      snapshot_digest = fnv1a(snapshot_digest,
+                              medium.read(log.snapshot_file()).value_or(""));
+    }
+    if (step % 250 == 0) {
+      journal_digest = fnv1a(journal_digest,
+                             medium.read(log.journal_file()).value_or(""));
+    }
+  }
+  journal_digest = fnv1a(journal_digest,
+                         medium.read(log.journal_file()).value_or(""));
+  snapshot_digest = fnv1a(snapshot_digest,
+                          medium.read(log.snapshot_file()).value_or(""));
+  const std::uint64_t image_digest = fnv1a(kBasis, log.histories());
+
+  // The script reached every case it is meant to cover.
+  const durable::WriterStats& w = log.writer_stats();
+  EXPECT_GE(log.histories().size(), 2000u);
+  EXPECT_GT(w.snapshots_written, 100u);
+  EXPECT_GT(w.snapshot_failures, 0u);
+  EXPECT_GT(w.tail_repairs, 0u);
+  EXPECT_GT(w.tail_records_dropped, 0u);
+  EXPECT_GT(medium.stats().refused_stall, 0u);
+  EXPECT_GT(medium.stats().refused_full, 0u);
+
+  EXPECT_EQ(journal_digest, 0x7AF092DF7A9DDA2Dull);
+  EXPECT_EQ(snapshot_digest, 0xC4D49A85882C3B64ull);
+  EXPECT_EQ(recovered_digest, 0xD9F391BD1D99F7E8ull);
+  EXPECT_EQ(image_digest, 0x48F80282328BCC10ull);
+  EXPECT_EQ(medium.stats().bytes_written, 21650645u);
 }
 
 // ---- Cluster-level crash consistency. ----
