@@ -275,10 +275,11 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
                        " update=" + std::to_string(update_id) + " created");
   }
   if (metrics_ != nullptr) {
-    metrics_
-        ->counter("commit.instances_opened",
-                  {{"node", std::to_string(self_)}})
-        .inc();
+    if (instances_opened_ == nullptr) {
+      instances_opened_ = &metrics_->counter(
+          "commit.instances_opened", {{"node", std::to_string(self_)}});
+    }
+    instances_opened_->inc();
   }
   if (spans_ != nullptr) {
     inst.vote_span =
@@ -287,9 +288,9 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
   }
   if (flight_ != nullptr) {
     flight_->record(network_.scheduler().now(), self_, "commit.instance",
-                    "guid=" + std::to_string(guid) +
-                        " update=" + std::to_string(update_id) +
-                        " request=" + std::to_string(inst.request_id));
+                    {{"guid", guid},
+                     {"update", update_id},
+                     {"request", inst.request_id}});
   }
   arm_abort_scan();  // Watch the new instance for stalls, if enabled.
   return inst;
@@ -386,9 +387,11 @@ void CommitPeer::send(sim::NodeAddr to, const WireMessage& msg) {
 
 void CommitPeer::broadcast(const WireMessage& msg) {
   const WireMessage::Frame frame = msg.frame();
-  std::vector<sim::NodeAddr> looked_up;
-  if (resolver_) looked_up = resolver_(msg.guid);
-  const std::vector<sim::NodeAddr>& resolved = resolver_ ? looked_up : peers_;
+  if (resolver_) {
+    resolved_.clear();
+    resolver_(msg.guid, resolved_);
+  }
+  const std::vector<sim::NodeAddr>& resolved = resolver_ ? resolved_ : peers_;
   for (sim::NodeAddr peer : resolved) {
     if (peer == self_) continue;
     if (behaviour_ == Behaviour::kWithholder &&
@@ -499,9 +502,9 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
       }
       if (flight_ != nullptr) {
         flight_->record(network_.scheduler().now(), self_, "commit.veto",
-                        "guid=" + std::to_string(guid) +
-                            " update=" + std::to_string(update_id) +
-                            " request=" + std::to_string(inst.request_id));
+                        {{"guid", guid},
+                         {"update", update_id},
+                         {"request", inst.request_id}});
       }
       if (ctx.chosen_update == update_id) {
         ctx.chosen_update.reset();
@@ -520,11 +523,12 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
                          " latency=" + std::to_string(latency));
     }
     if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("commit.instance_latency_us",
-                      {{"node", std::to_string(self_)}},
-                      obs::latency_buckets_us())
-          .observe(latency);
+      if (instance_latency_ == nullptr) {
+        instance_latency_ = &metrics_->histogram(
+            "commit.instance_latency_us", {{"node", std::to_string(self_)}},
+            obs::latency_buckets_us());
+      }
+      instance_latency_->observe(latency);
     }
     if (spans_ != nullptr) {
       const sim::Time now = network_.scheduler().now();
@@ -544,10 +548,10 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
     }
     if (flight_ != nullptr) {
       flight_->record(network_.scheduler().now(), self_, "commit.record",
-                      "guid=" + std::to_string(guid) +
-                          " update=" + std::to_string(update_id) +
-                          " request=" + std::to_string(inst.request_id) +
-                          " latency=" + std::to_string(latency));
+                      {{"guid", guid},
+                       {"update", update_id},
+                       {"request", inst.request_id},
+                       {"latency", latency}});
     }
     // Defensive: a finished update must release the node lock even if the
     // free action was not part of the final transition (it is whenever the
@@ -620,9 +624,9 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       }
       if (flight_ != nullptr) {
         flight_->record(now, self_, "commit.abort",
-                        "guid=" + std::to_string(guid) +
-                            " update=" + std::to_string(uid) +
-                            " request=" + std::to_string(inst.request_id));
+                        {{"guid", guid},
+                         {"update", uid},
+                         {"request", inst.request_id}});
       }
       const bool held_lock = ctx.chosen_update == uid;
       release(guid, ctx, i);  // The next instance moves to index i.

@@ -71,10 +71,11 @@ struct PeerStats {
 class CommitPeer {
  public:
   /// Maps a GUID to its peer set (paper: peer sets are located per GUID via
-  /// the P2P layer, so they differ between GUIDs). When unset, the fixed
-  /// `peers` list from the constructor serves every GUID.
-  using PeerResolver =
-      std::function<std::vector<sim::NodeAddr>(std::uint64_t guid)>;
+  /// the P2P layer, so they differ between GUIDs) by filling `out`, which
+  /// the peer clears first and reuses across broadcasts. When unset, the
+  /// fixed `peers` list from the constructor serves every GUID.
+  using PeerResolver = std::function<void(std::uint64_t guid,
+                                          std::vector<sim::NodeAddr>& out)>;
 
   /// `machine` must be the merged commit FSM for the peer set's replication
   /// factor; the peer runs it through the table commit::MachineCache
@@ -100,7 +101,12 @@ class CommitPeer {
 
   /// Attach a metrics registry: instance lifecycle counters, commit-latency
   /// histograms and per-GUID abort counters. nullptr (default) disables.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// The per-node series are resolved on first use and kept.
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    instances_opened_ = nullptr;
+    instance_latency_ = nullptr;
+  }
 
   /// Attach a span recorder: each machine instance opens a "vote-collect"
   /// span on creation and a "quorum" span once it broadcasts its commit,
@@ -313,11 +319,14 @@ class CommitPeer {
   sim::NodeAddr self_;
   std::vector<sim::NodeAddr> peers_;  // Including self_.
   PeerResolver resolver_;
+  std::vector<sim::NodeAddr> resolved_;  // resolver_'s reused output.
   std::shared_ptr<const CommitTable> table_;
   Behaviour behaviour_;
   PeerHardening hardening_;
   sim::Trace* trace_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened
+  obs::Histogram* instance_latency_ = nullptr;  // commit.instance_latency_us
   obs::SpanRecorder* spans_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   CommitSink commit_sink_;

@@ -4,18 +4,71 @@
 
 namespace asa_repro::obs {
 
+std::uint32_t FlightRecorder::intern(const Layout& layout) {
+  for (std::size_t i = 0; i < layouts_.size(); ++i) {
+    if (layouts_[i] == layout) return static_cast<std::uint32_t>(i);
+  }
+  layouts_.push_back(layout);
+  return static_cast<std::uint32_t>(layouts_.size() - 1);
+}
+
+FlightRecorder::Slot& FlightRecorder::claim(std::uint64_t t,
+                                            std::uint32_t node,
+                                            const Layout& layout) {
+  Ring& ring = lanes_[node];
+  Slot* slot = nullptr;
+  if (ring.slots.size() < capacity_) {
+    slot = &ring.slots.emplace_back();
+  } else {
+    slot = &ring.slots[ring.next];
+    ring.next = (ring.next + 1) % capacity_;
+  }
+  slot->t = t;
+  slot->seq = seq_++;
+  slot->layout = intern(layout);
+  ++recorded_;
+  return *slot;
+}
+
+void FlightRecorder::record(std::uint64_t t, std::uint32_t node,
+                            const char* category,
+                            std::initializer_list<FlightField> fields,
+                            const char* tail) {
+  if (capacity_ == 0) return;
+  Layout layout{.category = category, .tail = tail};
+  std::array<std::uint64_t, kMaxFields> values{};
+  for (const FlightField& field : fields) {
+    if (layout.count == kMaxFields) break;
+    layout.keys[layout.count] = field.key;
+    values[layout.count++] = field.value;
+  }
+  Slot& slot = claim(t, node, layout);
+  slot.values = values;
+  slot.text.reset();
+}
+
 void FlightRecorder::record(std::uint64_t t, std::uint32_t node,
                             const char* category, std::string detail) {
   if (capacity_ == 0) return;
-  Ring& ring = lanes_[node];
-  FlightEvent event{t, seq_++, category, std::move(detail)};
-  ++recorded_;
-  if (ring.slots.size() < capacity_) {
-    ring.slots.push_back(std::move(event));
-    return;
+  Slot& slot = claim(t, node, Layout{.category = category});
+  slot.text = std::make_unique<std::string>(std::move(detail));
+}
+
+std::string FlightRecorder::detail_of(const Slot& slot) const {
+  if (slot.text) return *slot.text;
+  const Layout& layout = layouts_[slot.layout];
+  std::string out;
+  for (std::size_t i = 0; i < layout.count; ++i) {
+    if (i > 0) out += ' ';
+    out += layout.keys[i];
+    out += '=';
+    out += std::to_string(slot.values[i]);
   }
-  ring.slots[ring.next] = std::move(event);
-  ring.next = (ring.next + 1) % capacity_;
+  if (layout.tail != nullptr) {
+    if (!out.empty()) out += ' ';
+    out += layout.tail;
+  }
+  return out;
 }
 
 std::vector<std::uint32_t> FlightRecorder::lanes() const {
@@ -27,26 +80,40 @@ std::vector<std::uint32_t> FlightRecorder::lanes() const {
   return out;
 }
 
-std::vector<FlightEvent> FlightRecorder::lane(std::uint32_t node) const {
+std::vector<const FlightRecorder::Slot*> FlightRecorder::ordered(
+    std::uint32_t node) const {
   const auto it = lanes_.find(node);
   if (it == lanes_.end()) return {};
   const Ring& ring = it->second;
-  std::vector<FlightEvent> out;
+  std::vector<const Slot*> out;
   out.reserve(ring.slots.size());
   // Before the first wrap `next` is 0 and the slots are already oldest
   // first; afterwards `next` points at the oldest surviving event.
   const std::size_t n = ring.slots.size();
   const std::size_t start = n < capacity_ ? 0 : ring.next;
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring.slots[(start + i) % n]);
+    out.push_back(&ring.slots[(start + i) % n]);
+  }
+  return out;
+}
+
+std::vector<FlightEvent> FlightRecorder::lane(std::uint32_t node) const {
+  std::vector<FlightEvent> out;
+  for (const Slot* slot : ordered(node)) {
+    out.push_back({slot->t, slot->seq, layouts_[slot->layout].category,
+                   detail_of(*slot)});
   }
   return out;
 }
 
 void FlightRecorder::merge(const FlightRecorder& other) {
+  if (capacity_ == 0) return;
   for (const std::uint32_t node : other.lanes()) {
-    for (FlightEvent event : other.lane(node)) {
-      record(event.t, node, event.category, std::move(event.detail));
+    for (const Slot* from : other.ordered(node)) {
+      Slot& slot = claim(from->t, node, other.layouts_[from->layout]);
+      slot.values = from->values;
+      slot.text =
+          from->text ? std::make_unique<std::string>(*from->text) : nullptr;
     }
   }
 }

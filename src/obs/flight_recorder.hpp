@@ -16,13 +16,23 @@
 //      ordering — identical runs produce byte-identical exports.
 //   2. Free when off: instrumented components hold a `FlightRecorder*`
 //      that is nullptr when recording is disabled, so the hot paths cost
-//      one pointer test and never build the detail string. A recorder
-//      constructed with capacity 0 additionally drops everything.
+//      one pointer test. A recorder constructed with capacity 0
+//      additionally drops everything.
+//   3. Cheap when on: hot sites record typed events — the category plus up
+//      to kMaxFields (static key, u64 value) pairs and an optional static
+//      tail word — into fixed-size ring slots. Nothing is formatted at
+//      record time: the "key=value ..." detail text is built only when a
+//      lane is read (lane(), to_json()). Once every ring is full, a typed
+//      record allocates nothing. Cold sites (recovery, churn) may still
+//      pass a prebuilt detail string.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,14 +40,21 @@
 
 namespace asa_repro::obs {
 
-/// One recorded event. `category` is a static string literal supplied by
-/// the instrumentation site (never owned); `detail` is the structured
-/// payload, typically "key=value" pairs matching the trace idiom.
+/// One recorded event, as read back. `category` is a static string literal
+/// supplied by the instrumentation site (never owned); `detail` is the
+/// structured payload, "key=value" pairs matching the trace idiom.
 struct FlightEvent {
   std::uint64_t t = 0;    // Sim-time microseconds.
   std::uint64_t seq = 0;  // Global record order across all lanes.
   const char* category = "";
   std::string detail;
+};
+
+/// One typed field of a flight event: a static key and its value. Renders
+/// as "key=value".
+struct FlightField {
+  const char* key;
+  std::uint64_t value;
 };
 
 class FlightRecorder {
@@ -55,9 +72,21 @@ class FlightRecorder {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
 
-  /// Append an event to `node`'s lane, evicting its oldest event when the
-  /// lane is full. Capacity 0 drops the event (belt and braces — callers
-  /// are expected to hold a nullptr instead and never reach this).
+  /// Most typed fields one event carries.
+  static constexpr std::size_t kMaxFields = 4;
+
+  /// Append a typed event to `node`'s lane, evicting its oldest event when
+  /// the lane is full. Its detail reads "k1=v1 k2=v2 ..." followed by
+  /// `tail` (a static word such as "ok") when non-null. The category, keys
+  /// and tail must be string literals: the recorder keeps their pointers,
+  /// interned once per distinct (category, keys, tail) layout. Fields past
+  /// kMaxFields are ignored. Capacity 0 drops the event (belt and braces —
+  /// callers are expected to hold a nullptr instead and never reach this).
+  void record(std::uint64_t t, std::uint32_t node, const char* category,
+              std::initializer_list<FlightField> fields,
+              const char* tail = nullptr);
+
+  /// Append an event whose detail text is already built (cold sites).
   void record(std::uint64_t t, std::uint32_t node, const char* category,
               std::string detail);
 
@@ -71,8 +100,9 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t total_recorded() const { return recorded_; }
 
   /// Append every event of `other` (lane by lane, oldest first) into this
-  /// recorder, re-sequencing into this recorder's global order. Used by
-  /// campaign drivers to hand a run's recorder out of the engine.
+  /// recorder, re-sequencing into this recorder's global order; typed
+  /// events stay typed. Used by campaign drivers to hand a run's recorder
+  /// out of the engine.
   void merge(const FlightRecorder& other);
 
   /// JSON object {"<node>":[{"t","seq","cat","detail"}...],...} with lanes
@@ -80,15 +110,53 @@ class FlightRecorder {
   [[nodiscard]] JsonValue to_json() const;
 
  private:
-  struct Ring {
-    std::vector<FlightEvent> slots;  // Grows to capacity, then wraps.
-    std::size_t next = 0;            // Overwrite cursor once full.
+  /// What a recorded event's values mean: its category and, for a typed
+  /// event, its keys and tail. Every distinct layout is stored once.
+  struct Layout {
+    const char* category = "";
+    const char* tail = nullptr;
+    std::array<const char*, kMaxFields> keys{};
+    std::size_t count = 0;
+
+    friend bool operator==(const Layout&, const Layout&) = default;
   };
+
+  /// A ring slot: 64 bytes. A typed event keeps its values; an event
+  /// recorded with a prebuilt detail keeps it in `text` (null for typed
+  /// events, so a full ring of typed events holds no strings).
+  struct Slot {
+    std::uint64_t t = 0;
+    std::uint64_t seq = 0;
+    std::array<std::uint64_t, kMaxFields> values{};
+    std::unique_ptr<std::string> text;
+    std::uint32_t layout = 0;  // Index into layouts_.
+  };
+  static_assert(sizeof(Slot) <= 64, "a ring slot fits one cache line");
+
+  struct Ring {
+    std::vector<Slot> slots;  // Grows to capacity, then wraps.
+    std::size_t next = 0;     // Overwrite cursor once full.
+  };
+
+  /// The slot the next event of `node` overwrites (a fresh one until the
+  /// lane is full); stamps its time, sequence and layout.
+  Slot& claim(std::uint64_t t, std::uint32_t node, const Layout& layout);
+
+  /// The index of `layout` in layouts_, appending it when new. There are
+  /// as many layouts as instrumented call sites, a few dozen at most.
+  std::uint32_t intern(const Layout& layout);
+
+  /// `node`'s slots oldest first (empty for an unknown lane).
+  [[nodiscard]] std::vector<const Slot*> ordered(std::uint32_t node) const;
+
+  /// The event's detail text.
+  [[nodiscard]] std::string detail_of(const Slot& slot) const;
 
   std::size_t capacity_;
   std::uint64_t seq_ = 0;
   std::uint64_t recorded_ = 0;
   std::map<std::uint32_t, Ring> lanes_;
+  std::vector<Layout> layouts_;
 };
 
 }  // namespace asa_repro::obs

@@ -15,9 +15,13 @@
 //      when observability is disabled, so the instrumented hot paths cost
 //      one pointer test. A disabled registry additionally routes every
 //      instrument to a scratch slot (belt and braces for shared handles).
-//   3. Cheap when on: callers may cache the returned Counter*/Histogram*
-//      across events — instruments are never invalidated once created
-//      (node-based map, values behind unique_ptr-free stable addresses).
+//   3. Cheap when on: a lookup builds a (name, labels) key from strings,
+//      so hot paths resolve each series once — at its first observation,
+//      which keeps the set of exported series unchanged — and keep the
+//      returned Counter*/Histogram*. Instruments are never invalidated
+//      once created (node-based map, stable addresses); a component drops
+//      its handles only when it is attached to another registry, or when
+//      the series its labels name changes (a link's profile class).
 #pragma once
 
 #include <cstddef>

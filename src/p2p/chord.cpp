@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace asa_repro::p2p {
 
@@ -134,6 +135,7 @@ void ChordNode::check_predecessor() {
 
 NodeId ChordRing::add_node(const NodeId& id) {
   assert(!nodes_.contains(id) && "duplicate node id");
+  changed();
   const NodeId bootstrap = nodes_.empty() ? id : nodes_.begin()->first;
   auto node = std::make_unique<ChordNode>(id, *this);
   ChordNode* raw = node.get();
@@ -160,6 +162,7 @@ void ChordRing::build(std::size_t n, std::size_t stabilization_rounds) {
 void ChordRing::leave(const NodeId& id) {
   const auto it = nodes_.find(id);
   if (it == nodes_.end()) return;
+  changed();
   ChordNode& node = *it->second;
   // Graceful handover: link predecessor and successor directly.
   const NodeId succ = node.first_live_successor();
@@ -176,7 +179,10 @@ void ChordRing::leave(const NodeId& id) {
   nodes_.erase(it);
 }
 
-void ChordRing::fail(const NodeId& id) { nodes_.erase(id); }
+void ChordRing::fail(const NodeId& id) {
+  changed();
+  nodes_.erase(id);
+}
 
 ChordNode* ChordRing::node(const NodeId& id) {
   const auto it = nodes_.find(id);
@@ -196,6 +202,7 @@ std::vector<NodeId> ChordRing::node_ids() const {
 }
 
 void ChordRing::maintenance_round() {
+  changed();
   std::vector<NodeId> order = node_ids();
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng_.below(i)]);
@@ -216,17 +223,36 @@ void ChordRing::run_maintenance(std::size_t rounds) {
   for (std::size_t i = 0; i < rounds; ++i) maintenance_round();
 }
 
+std::size_t ChordRing::KeyHash::operator()(const NodeId& id) const {
+  // Fold all 20 bytes: SHA-1 ids are uniform anywhere, but from_uint64 ids
+  // differ only in their last 8 bytes.
+  std::uint64_t words[3] = {};
+  std::memcpy(words, id.bytes().data(), NodeId::kBytes);
+  const std::uint64_t h = words[0] ^ (words[1] * 0x9E3779B97F4A7C15ull) ^
+                          (words[2] * 0xC2B2AE3D27D4EB4Full);
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
 NodeId ChordRing::lookup(const NodeId& key, std::size_t* hops) const {
   assert(!nodes_.empty());
-  std::size_t local_hops = 0;
-  const NodeId result =
-      nodes_.begin()->second->find_successor(key, &local_hops);
-  if (hops != nullptr) *hops = local_hops;
-  if (metrics_ != nullptr) {
-    metrics_->histogram("chord.route_hops", {}, obs::small_count_buckets())
-        .observe(local_hops);
+  if (memo_version_ != version_ || memo_.size() >= kMemoLimit) {
+    memo_.clear();
+    memo_version_ = version_;
   }
-  return result;
+  auto [it, fresh] = memo_.try_emplace(key);
+  Route& route = it->second;
+  if (fresh) {
+    route.owner = nodes_.begin()->second->find_successor(key, &route.hops);
+  }
+  if (hops != nullptr) *hops = route.hops;
+  if (metrics_ != nullptr) {
+    if (route_hops_ == nullptr) {
+      route_hops_ = &metrics_->histogram("chord.route_hops", {},
+                                         obs::small_count_buckets());
+    }
+    route_hops_->observe(route.hops);
+  }
+  return route.owner;
 }
 
 NodeId ChordRing::true_successor(const NodeId& key) const {

@@ -11,12 +11,19 @@
 // RPCs are direct method calls through the ring registry with per-lookup
 // hop accounting — behaviour-preserving for the layers above (they see only
 // lookup(key) -> node) while keeping simulations deterministic.
+//
+// A routed lookup is a pure function of the ring's state, which changes
+// only through add_node, leave, fail and maintenance_round. The ring
+// therefore memoizes lookup(key) -> (owner, hops) and forgets every route
+// whenever one of those runs (a version bump); callers see exactly the
+// owners and hop counts fresh routing from the first node would give.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -48,22 +55,23 @@ class ChordNode {
     return fingers_;
   }
 
-  /// Join the ring via any live node. First node: pass its own id.
-  void join(const NodeId& bootstrap);
-
   /// Find the node responsible for `key` (its successor on the circle),
   /// counting nodes visited into `hops` when non-null.
   [[nodiscard]] NodeId find_successor(const NodeId& key,
                                       std::size_t* hops = nullptr) const;
 
-  // ---- Maintenance (run periodically by the ring). ----
+ private:
+  friend class ChordRing;
+
+  // Membership and maintenance steps. Only the ring runs them, so every
+  // change to routing state passes through a ring mutation that forgets
+  // the memoized routes.
+  /// Join the ring via any live node. First node: pass its own id.
+  void join(const NodeId& bootstrap);
   void stabilize();
   void notify(const NodeId& candidate);
   void fix_finger(unsigned index);
   void check_predecessor();
-
- private:
-  friend class ChordRing;
 
   [[nodiscard]] NodeId closest_preceding_node(const NodeId& key) const;
   [[nodiscard]] NodeId first_live_successor() const;
@@ -111,23 +119,47 @@ class ChordRing {
   void maintenance_round();
   void run_maintenance(std::size_t rounds);
 
-  /// Route a lookup from an arbitrary live node. Returns the responsible
-  /// node id; hops counts visited nodes.
+  /// Route a lookup from the first live node (in id order). Returns the
+  /// responsible node id; hops counts visited nodes. Memoized until the
+  /// ring next changes.
   [[nodiscard]] NodeId lookup(const NodeId& key,
                               std::size_t* hops = nullptr) const;
 
-  /// Attach a metrics registry: every lookup() feeds the chord.route_hops
-  /// histogram. nullptr (default) disables.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Attach a metrics registry: every lookup() — memo hit or not — feeds
+  /// the chord.route_hops histogram once. nullptr (default) disables.
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    route_hops_ = nullptr;
+  }
 
   /// Ground truth: the live node owning `key` by brute-force scan
   /// (successor of key on the circle). Used to verify routed lookups.
   [[nodiscard]] NodeId true_successor(const NodeId& key) const;
 
  private:
+  /// A memoized route.
+  struct Route {
+    NodeId owner;
+    std::size_t hops;
+  };
+  struct KeyHash {
+    std::size_t operator()(const NodeId& id) const;
+  };
+  /// Routes memoized past this many keys are all forgotten, so a run over
+  /// unboundedly many keys keeps bounded memory.
+  static constexpr std::size_t kMemoLimit = 1 << 14;
+
+  /// Every mutation of routing state calls this first: it bumps the ring
+  /// version, which retires the memo.
+  void changed() { ++version_; }
+
   std::map<NodeId, std::unique_ptr<ChordNode>> nodes_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  mutable obs::Histogram* route_hops_ = nullptr;  // Resolved on first use.
+  std::uint64_t version_ = 0;
+  mutable std::uint64_t memo_version_ = 0;  // version_ the memo holds.
+  mutable std::unordered_map<NodeId, Route, KeyHash> memo_;
 };
 
 }  // namespace asa_repro::p2p

@@ -11,6 +11,19 @@ std::string route_detail(std::uint64_t id, NodeAddr from, NodeAddr to) {
          " to=" + std::to_string(to);
 }
 
+/// A message fate in the flight recorder: the same fields as route_detail.
+void record_route(obs::FlightRecorder& flight, Time now, NodeAddr lane,
+                  const char* category, std::uint64_t id, NodeAddr from,
+                  NodeAddr to) {
+  flight.record(now, lane, category, {{"id", id}, {"from", from}, {"to", to}});
+}
+
+/// The link map's key for the directed pair from->to. NodeAddr is 32-bit,
+/// so the packing is collision-free and direction-sensitive.
+std::uint64_t link_key(NodeAddr from, NodeAddr to) {
+  return (static_cast<std::uint64_t>(from) << 32) | to;
+}
+
 bool valid_probability(double p) { return p >= 0.0 && p <= 1.0; }
 
 const std::string kDefaultClass = "default";
@@ -63,16 +76,21 @@ Network::Network(Scheduler& sched, Rng rng, LatencyModel latency)
 }
 
 Network::LinkState& Network::link(NodeAddr from, NodeAddr to) {
-  const auto key = std::make_pair(from, to);
+  const std::uint64_t key = link_key(from, to);
   const auto it = links_.find(key);
   if (it != links_.end()) return it->second;
-  // Stream key: the directed pair packed into one word. NodeAddr is 32-bit,
-  // so the packing is collision-free and direction-sensitive.
-  const std::uint64_t stream =
-      (static_cast<std::uint64_t>(from) << 32) | to;
+  // The link's stream is keyed by the same packed pair.
   LinkState state;
-  state.rng = Rng::substream(link_seed_base_, stream);
+  state.rng = Rng::substream(link_seed_base_, key);
   return links_.emplace(key, std::move(state)).first->second;
+}
+
+void Network::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  for (auto& [key, state] : links_) {
+    state.link_latency = nullptr;
+    state.class_latency = nullptr;
+  }
 }
 
 void Network::set_link_profile(NodeAddr from, NodeAddr to,
@@ -87,17 +105,19 @@ void Network::set_link_profile(NodeAddr from, NodeAddr to,
   LinkState& state = link(from, to);
   state.profile = std::move(profile);
   state.bad = false;
+  state.class_latency = nullptr;
 }
 
 void Network::clear_link_profile(NodeAddr from, NodeAddr to) {
-  const auto it = links_.find({from, to});
+  const auto it = links_.find(link_key(from, to));
   if (it == links_.end()) return;
   it->second.profile.reset();
   it->second.bad = false;
+  it->second.class_latency = nullptr;
 }
 
 const std::string& Network::link_class(NodeAddr from, NodeAddr to) const {
-  const auto it = links_.find({from, to});
+  const auto it = links_.find(link_key(from, to));
   if (it == links_.end() || !it->second.profile.has_value()) {
     return kDefaultClass;
   }
@@ -105,7 +125,7 @@ const std::string& Network::link_class(NodeAddr from, NodeAddr to) const {
 }
 
 bool Network::link_in_bad_state(NodeAddr from, NodeAddr to) const {
-  const auto it = links_.find({from, to});
+  const auto it = links_.find(link_key(from, to));
   return it != links_.end() && it->second.bad;
 }
 
@@ -119,8 +139,7 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
       trace_->record(sched_.now(), to, "net.dead", route_detail(id, from, to));
     }
     if (flight_ != nullptr) {
-      flight_->record(sched_.now(), to, "net.dead",
-                      route_detail(id, from, to));
+      record_route(*flight_, sched_.now(), to, "net.dead", id, from, to);
     }
     return;
   }
@@ -133,19 +152,26 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
   }
   if (flight_ != nullptr) {
     flight_->record(sched_.now(), to, "net.deliver",
-                    route_detail(id, from, to) +
-                        " latency=" + std::to_string(latency));
+                    {{"id", id}, {"from", from}, {"to", to},
+                     {"latency", latency}});
   }
   if (metrics_ != nullptr) {
-    metrics_
-        ->histogram("net.latency_us",
-                    {{"link", std::to_string(from) + "->" + std::to_string(to)}},
-                    obs::latency_buckets_us())
-        .observe(latency);
-    metrics_
-        ->histogram("net.class_latency_us", {{"class", link_class(from, to)}},
-                    obs::latency_buckets_us())
-        .observe(latency);
+    LinkState& ls = link(from, to);
+    if (ls.link_latency == nullptr) {
+      ls.link_latency = &metrics_->histogram(
+          "net.latency_us",
+          {{"link", std::to_string(from) + "->" + std::to_string(to)}},
+          obs::latency_buckets_us());
+    }
+    if (ls.class_latency == nullptr) {
+      ls.class_latency = &metrics_->histogram(
+          "net.class_latency_us",
+          {{"class", ls.profile.has_value() ? ls.profile->name
+                                            : kDefaultClass}},
+          obs::latency_buckets_us());
+    }
+    ls.link_latency->observe(latency);
+    ls.class_latency->observe(latency);
   }
   it->second(from, payload);
 }
@@ -160,8 +186,7 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
                        " size=" + std::to_string(payload.size()));
   }
   if (flight_ != nullptr) {
-    flight_->record(sched_.now(), from, "net.send",
-                    route_detail(id, from, to));
+    record_route(*flight_, sched_.now(), from, "net.send", id, from, to);
   }
   if (partitions_.contains({from, to})) {
     ++stats_.partitioned;
@@ -169,8 +194,7 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
       trace_->record(sched_.now(), from, "net.part", route_detail(id, from, to));
     }
     if (flight_ != nullptr) {
-      flight_->record(sched_.now(), from, "net.part",
-                      route_detail(id, from, to));
+      record_route(*flight_, sched_.now(), from, "net.part", id, from, to);
     }
     return id;
   }
@@ -198,8 +222,7 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
       trace_->record(sched_.now(), from, "net.drop", route_detail(id, from, to));
     }
     if (flight_ != nullptr) {
-      flight_->record(sched_.now(), from, "net.drop",
-                      route_detail(id, from, to));
+      record_route(*flight_, sched_.now(), from, "net.drop", id, from, to);
     }
     return id;
   }
@@ -211,8 +234,7 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
       trace_->record(sched_.now(), from, "net.dup", route_detail(id, from, to));
     }
     if (flight_ != nullptr) {
-      flight_->record(sched_.now(), from, "net.dup",
-                      route_detail(id, from, to));
+      record_route(*flight_, sched_.now(), from, "net.dup", id, from, to);
     }
   }
   const Time sent_at = sched_.now();
@@ -318,8 +340,8 @@ void Network::drop_pending(std::size_t index) {
                    route_detail(msg.id, msg.from, msg.to));
   }
   if (flight_ != nullptr) {
-    flight_->record(sched_.now(), msg.from, "net.drop",
-                    route_detail(msg.id, msg.from, msg.to));
+    record_route(*flight_, sched_.now(), msg.from, "net.drop", msg.id,
+                 msg.from, msg.to);
   }
 }
 

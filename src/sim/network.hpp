@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -174,8 +173,9 @@ class Network {
   void set_trace(Trace* trace) { trace_ = trace; }
 
   /// Attach a metrics registry for per-link latency histograms. nullptr
-  /// (default) disables.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// (default) disables. Each link resolves its two series on its first
+  /// delivery and keeps the handles; attaching another registry drops them.
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Attach a flight recorder: message fates land in the per-node ring
   /// lanes (send-side fates under `from`, terminal fates under `to`).
@@ -257,11 +257,15 @@ class Network {
   };
 
   /// Per-directed-link state: an independent RNG substream plus the
-  /// Gilbert–Elliott loss state and the (optional) installed profile.
+  /// Gilbert–Elliott loss state and the (optional) installed profile. The
+  /// latency series handles are resolved on the link's first delivery with
+  /// metrics attached; a profile change drops them (the class may differ).
   struct LinkState {
     Rng rng;
     bool bad = false;
     std::optional<LinkProfile> profile;
+    obs::Histogram* link_latency = nullptr;   // net.latency_us{link}
+    obs::Histogram* class_latency = nullptr;  // net.class_latency_us{class}
   };
 
   void check_pending_index(std::size_t index) const {
@@ -320,7 +324,9 @@ class Network {
   std::size_t frame_depth_ = 0;
   std::unordered_map<NodeAddr, Handler> handlers_;
   std::set<std::pair<NodeAddr, NodeAddr>> partitions_;
-  std::map<std::pair<NodeAddr, NodeAddr>, LinkState> links_;
+  // By directed pair, packed as (from << 32) | to. Never iterated for
+  // anything observable: each link's randomness is its own substream.
+  std::unordered_map<std::uint64_t, LinkState> links_;
   NetworkStats stats_;
   Trace* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

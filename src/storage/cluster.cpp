@@ -58,10 +58,9 @@ void AsaCluster::rebuild_host(std::size_t index,
   if (config_.spans) hosts_[index]->peer().set_spans(&span_recorder_);
   if (flight_.enabled()) hosts_[index]->peer().set_flight(&flight_);
   hosts_[index]->peer().set_peer_resolver(
-      [this](std::uint64_t guid_key) -> std::vector<sim::NodeAddr> {
+      [this](std::uint64_t guid_key, std::vector<sim::NodeAddr>& out) {
         const auto it = guid_registry_.find(guid_key);
-        if (it == guid_registry_.end()) return {};
-        return peer_set(it->second);
+        if (it != guid_registry_.end()) peer_set(it->second, out);
       });
   if (config_.abort_scan_interval > 0) {
     hosts_[index]->peer().enable_abort(config_.abort_scan_interval,
@@ -90,16 +89,22 @@ sim::NodeAddr AsaCluster::addr_for_key(const p2p::NodeId& key) {
 }
 
 std::vector<sim::NodeAddr> AsaCluster::peer_set(const Guid& guid) {
-  guid_registry_.emplace(guid.to_uint64(), guid);
   std::vector<sim::NodeAddr> addrs;
-  for (const p2p::NodeId& key :
-       replica_keys(guid.as_key(), config_.replication_factor)) {
-    const sim::NodeAddr addr = addr_for_key(key);
-    if (std::find(addrs.begin(), addrs.end(), addr) == addrs.end()) {
-      addrs.push_back(addr);
+  peer_set(guid, addrs);
+  return addrs;
+}
+
+void AsaCluster::peer_set(const Guid& guid, std::vector<sim::NodeAddr>& out) {
+  guid_registry_.try_emplace(guid.to_uint64(), guid);
+  out.clear();
+  const p2p::NodeId base = guid.as_key();
+  for (const p2p::NodeId& offset :
+       replica_offsets(config_.replication_factor)) {
+    const sim::NodeAddr addr = addr_for_key(base.plus(offset));
+    if (std::find(out.begin(), out.end(), addr) == out.end()) {
+      out.push_back(addr);
     }
   }
-  return addrs;
 }
 
 DataStoreClient& AsaCluster::data_store() {
@@ -200,8 +205,7 @@ void AsaCluster::schedule_flight_sampling(sim::Time until, sim::Time every) {
   for (sim::Time at = scheduler_.now(); at <= until; at += every) {
     scheduler_.schedule_at(at, [this] {
       flight_.record(scheduler_.now(), obs::FlightRecorder::kClusterLane,
-                     "sched.queue_depth",
-                     "depth=" + std::to_string(scheduler_.pending()));
+                     "sched.queue_depth", {{"depth", scheduler_.pending()}});
     });
   }
 }

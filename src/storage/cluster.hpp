@@ -102,6 +102,9 @@ class AsaCluster {
   /// Network addresses of the peer set for a GUID (one per replica key; a
   /// small ring may repeat addresses — deduplicated, preserving order).
   [[nodiscard]] std::vector<sim::NodeAddr> peer_set(const Guid& guid);
+  /// The same, written into `out` (cleared first) so a caller that resolves
+  /// repeatedly can reuse one buffer.
+  void peer_set(const Guid& guid, std::vector<sim::NodeAddr>& out);
 
   /// Client services (constructed lazily, one each).
   [[nodiscard]] DataStoreClient& data_store();

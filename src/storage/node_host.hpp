@@ -64,10 +64,10 @@ class NodeHost {
           if (flight != nullptr) {
             flight->record(network_.scheduler().now(), addr_,
                            "journal.append",
-                           "guid=" + std::to_string(guid) +
-                               " update=" + std::to_string(e.update_id) +
-                               " request=" + std::to_string(e.request_id) +
-                               (ok ? " ok" : " failed"));
+                           {{"guid", guid},
+                            {"update", e.update_id},
+                            {"request", e.request_id}},
+                           ok ? "ok" : "failed");
           }
           return ok;
         });

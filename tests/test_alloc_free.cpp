@@ -4,8 +4,10 @@
 // trigger, the network's hand-over of each frame and the endpoint's
 // handling of the acknowledgements — makes no heap allocation. The same
 // holds for the durable journal's commit append to a GUID it already
-// holds. Global operator new is replaced in this binary to count
-// allocations.
+// holds, and it stays true with a metrics registry and a flight recorder
+// attached: observed, the hot path records into resolved series and
+// fixed-size ring slots. Global operator new is replaced in this binary to
+// count allocations.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,6 +20,8 @@
 #include "commit/peer.hpp"
 #include "durable/durable_log.hpp"
 #include "durable/storage_medium.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -42,10 +46,14 @@ namespace asa_repro::commit {
 namespace {
 
 /// An r=4 peer set and one endpoint on a lossless network, committing one
-/// update per GUID per round; GUIDs never contend.
+/// update per GUID per round; GUIDs never contend. `observed` attaches a
+/// metrics registry and a flight recorder to the network, the peers and
+/// the endpoint.
 class Stack {
  public:
-  Stack()
+  static constexpr std::size_t kFlightCapacity = 64;
+
+  explicit Stack(bool observed = false)
       : network_(sched_, sim::Rng(11), sim::LatencyModel{500, 5'000}) {
     std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
     for (const sim::NodeAddr a : addrs) {
@@ -54,6 +62,15 @@ class Stack {
     }
     endpoint_ = std::make_unique<CommitEndpoint>(
         network_, 100, addrs, 1, RetryPolicy{}, sim::Rng(12));
+    if (observed) {
+      network_.set_metrics(&metrics_);
+      network_.set_flight(&flight_);
+      for (const auto& p : peers_) {
+        p->set_metrics(&metrics_);
+        p->set_flight(&flight_);
+      }
+      endpoint_->set_metrics(&metrics_);
+    }
   }
 
   /// Submit one update for each of `guids` GUIDs starting at `first`;
@@ -71,6 +88,10 @@ class Stack {
     return made;
   }
 
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
+    return metrics_;
+  }
+  [[nodiscard]] const obs::FlightRecorder& flight() const { return flight_; }
   [[nodiscard]] std::uint64_t committed() const { return committed_; }
   [[nodiscard]] std::uint64_t votes_and_commits() const {
     std::uint64_t n = 0;
@@ -81,6 +102,8 @@ class Stack {
   }
 
  private:
+  obs::MetricsRegistry metrics_;
+  obs::FlightRecorder flight_{kFlightCapacity};
   MachineCache cache_;
   sim::Scheduler sched_;
   sim::Network network_;
@@ -106,6 +129,28 @@ TEST(HotPath, VotesAndCommitsToExistingInstancesAllocateNothing) {
   EXPECT_EQ(stack.round(0, kGuids), 0u);
   EXPECT_EQ(stack.committed() - committed, kGuids);
   EXPECT_GE(stack.votes_and_commits() - messages, 4 * 6 * kGuids);
+}
+
+TEST(HotPath, ObservedVotesAndCommitsAllocateNothing) {
+  constexpr std::uint64_t kGuids = 2'000;
+  Stack stack(/*observed=*/true);
+  // The same warm-up as above. Afterwards every series the run observes
+  // exists and every flight lane's ring is full.
+  EXPECT_GT(stack.round(1'000'000, 2 * kGuids), 0u);
+  for (int r = 0; r < 3; ++r) stack.round(0, kGuids);
+  const std::size_t series = stack.metrics().series_count();
+  const std::uint64_t recorded = stack.flight().total_recorded();
+  ASSERT_EQ(stack.flight().lanes().size(), 5u);  // Four peers, the endpoint.
+  for (const std::uint32_t lane : stack.flight().lanes()) {
+    EXPECT_EQ(stack.flight().lane(lane).size(), Stack::kFlightCapacity);
+  }
+  const std::uint64_t committed = stack.committed();
+  EXPECT_EQ(stack.round(0, kGuids), 0u);
+  EXPECT_EQ(stack.committed() - committed, kGuids);
+  // The round was observed: no new series, and every message's fates and
+  // every instance's phases went into the rings.
+  EXPECT_EQ(stack.metrics().series_count(), series);
+  EXPECT_GE(stack.flight().total_recorded() - recorded, 2 * 4 * 6 * kGuids);
 }
 
 TEST(HotPath, DurableCommitsToExistingGuidsAllocateNothing) {

@@ -176,5 +176,64 @@ TEST(Chord, FingersPointAtTrueSuccessors) {
   EXPECT_GT(populated, 100u);  // Maintenance populated the table.
 }
 
+TEST(ChordRing, MemoizedLookupMatchesFreshRouting) {
+  // lookup() memoizes routes until the ring next changes. A seeded script
+  // of joins, graceful leaves, crash failures and maintenance rounds, with
+  // lookups of repeated and fresh keys after every step, checks each
+  // answer against fresh routing from the same first node — including the
+  // steps right after a failure, before maintenance heals the ring.
+  obs::MetricsRegistry metrics;
+  ChordRing ring(sim::Rng(5));
+  ring.set_metrics(&metrics);
+  ring.build(12);
+  sim::Rng rng(31);
+  std::uint64_t lookups = 0;
+  int joined = 0;
+  const auto check = [&](int step) {
+    const ChordNode* first = ring.node(ring.node_ids().front());
+    for (int k = 0; k < 24; ++k) {
+      // Even keys recur at every step; odd keys are mostly new.
+      const NodeId key =
+          k % 2 == 0 ? key_of(k) : key_of(1'000 + static_cast<int>(rng.below(
+                                                  1u << 20)));
+      for (int again = 0; again < 2; ++again) {  // The second one hits.
+        std::size_t hops = 99;
+        std::size_t fresh_hops = 0;
+        const NodeId owner = ring.lookup(key, &hops);
+        ++lookups;
+        EXPECT_EQ(owner, first->find_successor(key, &fresh_hops))
+            << "step " << step << " key " << k;
+        EXPECT_EQ(hops, fresh_hops) << "step " << step << " key " << k;
+      }
+    }
+    (void)ring.lookup(key_of(0));  // Without a hop count, still observed.
+    ++lookups;
+  };
+  check(-1);
+  for (int step = 0; step < 60; ++step) {
+    const std::vector<NodeId> ids = ring.node_ids();
+    const NodeId pick = ids[rng.below(ids.size())];
+    switch (rng.below(4)) {
+      case 0:
+        ring.add_node(NodeId::hash_of("memo:" + std::to_string(joined++)));
+        break;
+      case 1:
+        if (ids.size() > 4) ring.leave(pick);
+        break;
+      case 2:
+        if (ids.size() > 4) ring.fail(pick);
+        break;
+      default:
+        ring.maintenance_round();
+        break;
+    }
+    check(step);
+  }
+  EXPECT_EQ(
+      metrics.histogram("chord.route_hops", {}, obs::small_count_buckets())
+          .count(),
+      lookups);
+}
+
 }  // namespace
 }  // namespace asa_repro::p2p

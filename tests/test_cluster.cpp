@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string_view>
 
+#include "obs/postmortem.hpp"
 #include "storage/cluster.hpp"
 
 namespace asa_repro::storage {
@@ -581,6 +584,102 @@ TEST(ClusterChurn, RemoveNodeGuardsInvalidAndDeparted) {
   // A departed member never restarts.
   EXPECT_EQ(cluster.restart_node(2), 0u);
   EXPECT_TRUE(cluster.departed(2));
+}
+
+// ---- Observability exports, pinned. ----
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llX",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Cluster, ObservedRunMatchesPinnedDigest) {
+  // A seeded run with every observer on — metrics, a 64-event flight
+  // recorder, spans — over 1% loss, a crash and journal restart, a join, a
+  // graceful leave, contended appends and reads. The four exports are
+  // pinned to digests of the bytes this scenario has always produced, so
+  // any change to what the cluster does, or to how routing, metrics and
+  // flight events are recorded and rendered, fails here.
+  ClusterConfig config = small_cluster(1234);
+  config.drop_probability = 0.01;
+  config.metrics = true;
+  config.flight_capacity = 64;
+  config.spans = true;
+  config.abort_scan_interval = 60'000;
+  config.abort_max_age = 80'000;
+  AsaCluster cluster(config);
+  VersionHistoryService& history = cluster.version_history();
+  history.set_serialize_appends(true);
+
+  constexpr int kGuids = 6;
+  std::vector<Guid> guids;
+  for (int g = 0; g < kGuids; ++g) {
+    guids.push_back(Guid::named("pinned:" + std::to_string(g)));
+  }
+  int committed = 0;
+  int reads_ok = 0;
+  for (int i = 0; i < 60; ++i) {
+    cluster.scheduler().schedule_at(
+        static_cast<sim::Time>(i) * 10'000, [&, i] {
+          const Guid& guid = guids[static_cast<std::size_t>(i % kGuids)];
+          if (i % 5 == 4) {
+            history.read(guid, [&](const HistoryReadResult& r) {
+              reads_ok += r.ok ? 1 : 0;
+            });
+            return;
+          }
+          history.append(guid, Pid::of(block_from("pinned " +
+                                                  std::to_string(i))),
+                         [&](const commit::CommitResult& r) {
+                           committed += r.committed ? 1 : 0;
+                         });
+        });
+  }
+  const std::size_t victim = cluster.peer_set(guids[0]).front();
+  const std::size_t leaver = (victim + 3) % config.nodes;
+  cluster.scheduler().schedule_at(150'000,
+                                  [&] { cluster.crash_node(victim); });
+  cluster.scheduler().schedule_at(300'000, [&] { (void)cluster.add_node(); });
+  cluster.scheduler().schedule_at(450'000,
+                                  [&] { cluster.restart_node(victim); });
+  cluster.scheduler().schedule_at(
+      520'000, [&] { (void)cluster.remove_node(leaver, true); });
+  cluster.schedule_flight_sampling(700'000, 50'000);
+  cluster.run();
+
+  EXPECT_GE(committed, 40);
+  EXPECT_GE(reads_ok, 8);
+  EXPECT_FALSE(cluster.crashed(victim));
+  // The rings wrapped: more events were recorded than kept.
+  EXPECT_GT(cluster.flight().total_recorded(),
+            2 * config.flight_capacity * config.nodes);
+  EXPECT_EQ(cluster.flight().lane(0).size(), config.flight_capacity);
+
+  cluster.snapshot_metrics();
+  const obs::Meta meta{{"tool", "test"}, {"seed", "1234"}};
+  const std::string metrics = obs::write_metrics_json(cluster.metrics(), meta);
+  const std::string flight = cluster.flight().to_json().dump(1);
+  const std::string spans = obs::write_spans_json(cluster.spans(), meta);
+  const std::string bundle = obs::write_postmortem_json(
+      meta, {{"pinned", "no violation; bundle layout only"}}, {"plan"}, {},
+      cluster.flight(), cluster.metrics(), cluster.spans());
+  EXPECT_NE(metrics.find("chord.route_hops"), std::string::npos);
+  EXPECT_NE(flight.find("journal.append"), std::string::npos);
+  EXPECT_EQ(hex(fnv1a(metrics)), "0x631AB9BD3C8EE05F");
+  EXPECT_EQ(hex(fnv1a(flight)), "0x57C5A62AFA7DC824");
+  EXPECT_EQ(hex(fnv1a(spans)), "0x2E0CDE1A4D730DF9");
+  EXPECT_EQ(hex(fnv1a(bundle)), "0x7A0D41F9786C802C");
 }
 
 }  // namespace

@@ -366,6 +366,70 @@ TEST_F(NetworkTest, HandlerSendingDuringDeliveryKeepsItsFrame) {
   EXPECT_EQ(received, std::multiset<std::string>(frames.begin(), frames.end()));
 }
 
+/// Observations in the latency histogram `name` whose one label is
+/// `key=value` (0 when the series does not exist; reading creates none).
+std::uint64_t latency_count(const obs::MetricsRegistry& metrics,
+                            const std::string& name, const std::string& key,
+                            const std::string& value) {
+  std::uint64_t count = 0;
+  metrics.for_each_histogram([&](const obs::MetricsRegistry::Series& s,
+                                 const obs::Histogram& h) {
+    if (s.name == name && s.labels == obs::Labels{{key, value}}) {
+      count = h.count();
+    }
+  });
+  return count;
+}
+
+TEST_F(NetworkTest, LatencySeriesFollowLinkProfileAndRegistryChanges) {
+  // A link resolves its latency series on its first delivery and keeps the
+  // handles. Both ways those can go stale must move later observations: a
+  // profile change re-labels the class series, and attaching another
+  // registry (or none) stops writes into the old one.
+  obs::MetricsRegistry first;
+  obs::MetricsRegistry second;
+  network_.set_metrics(&first);
+  network_.attach(2, [](NodeAddr, const std::string&) {});
+  const auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) network_.send(1, 2, "x");
+    sched_.run();
+  };
+  const auto link = [](const obs::MetricsRegistry& m) {
+    return latency_count(m, "net.latency_us", "link", "1->2");
+  };
+  const auto klass = [](const obs::MetricsRegistry& m, const char* name) {
+    return latency_count(m, "net.class_latency_us", "class", name);
+  };
+
+  send(3);
+  EXPECT_EQ(link(first), 3u);
+  EXPECT_EQ(klass(first, "default"), 3u);
+
+  network_.set_link_profile(1, 2, *link_profile("lan"));
+  send(4);
+  EXPECT_EQ(link(first), 7u);
+  EXPECT_EQ(klass(first, "default"), 3u);
+  EXPECT_EQ(klass(first, "lan"), 4u);
+
+  network_.clear_link_profile(1, 2);
+  send(2);
+  EXPECT_EQ(klass(first, "default"), 5u);
+  EXPECT_EQ(klass(first, "lan"), 4u);
+
+  network_.set_metrics(&second);
+  send(5);
+  EXPECT_EQ(link(first), 9u);
+  EXPECT_EQ(klass(first, "default"), 5u);
+  EXPECT_EQ(link(second), 5u);
+  EXPECT_EQ(klass(second, "default"), 5u);
+
+  network_.set_metrics(nullptr);
+  send(1);
+  EXPECT_EQ(link(first), 9u);
+  EXPECT_EQ(link(second), 5u);
+  EXPECT_EQ(network_.stats().delivered, 15u);
+}
+
 // ---- FlatMap. ----
 
 TEST(FlatMap, MatchesStdMapUnderRandomInsertAndErase) {
