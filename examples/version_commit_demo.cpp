@@ -6,6 +6,7 @@
 //   $ ./version_commit_demo [seed]
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include <fstream>
 
@@ -84,10 +85,11 @@ int main(int argc, char** argv) {
 
   // Show the commit protocol's internal traffic.
   std::cout << "\ncommit/abort events from the trace:\n";
-  for (const auto& e : cluster.trace().events()) {
-    if (e.category == "commit" || e.category == "abort") {
-      std::cout << "  [" << e.time << "us] node" << e.node << " "
-                << e.category << " " << e.detail << "\n";
+  for (const obs::FlightEvent& e : cluster.flight().events()) {
+    const std::string_view category = e.category;
+    if (category == "commit.record" || category == "commit.abort") {
+      std::cout << "  [" << e.t << "us] node" << e.node << " " << category
+                << " " << e.detail << "\n";
     }
   }
 
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
     sim::SequenceOptions options;
     options.max_events = 120;
     std::ofstream seq("version_commit_run.mmd");
-    seq << sim::render_sequence_mermaid(cluster.trace(), options);
+    seq << sim::render_sequence_mermaid(cluster.flight(), options);
     std::cout << "\nwrote version_commit_run.mmd (sequence diagram of the "
                  "actual run)\n";
   }

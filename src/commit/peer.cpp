@@ -17,13 +17,13 @@ const std::vector<CommitPeer::CommittedEntry> kEmptyHistory;
 CommitPeer::CommitPeer(sim::Network& network, sim::NodeAddr self,
                        std::vector<sim::NodeAddr> peers,
                        const fsm::StateMachine& machine, Behaviour behaviour,
-                       sim::Trace* trace, bool attach_to_network)
+                       obs::FlightRecorder* flight, bool attach_to_network)
     : network_(network),
       self_(self),
       peers_(std::move(peers)),
       table_(CommitTable::for_machine(machine)),
       behaviour_(behaviour),
-      trace_(trace) {
+      flight_(flight) {
   if (attach_to_network) {
     network_.attach(self_,
                     [this](sim::NodeAddr from, const std::string& data) {
@@ -269,11 +269,6 @@ CommitPeer::Instance& CommitPeer::instance(GuidContext& ctx,
   if (ctx.chosen_update.has_value() && *ctx.chosen_update != update_id) {
     (void)table_->machine().step(inst.state, kNotFree);
   }
-  if (trace_ != nullptr) {
-    trace_->record(network_.scheduler().now(), self_, "instance",
-                   "guid=" + std::to_string(guid) +
-                       " update=" + std::to_string(update_id) + " created");
-  }
   if (metrics_ != nullptr) {
     if (instances_opened_ == nullptr) {
       instances_opened_ = &metrics_->counter(
@@ -307,14 +302,6 @@ void CommitPeer::handle_honest(sim::NodeAddr from, const WireMessage& msg) {
                   msg.request_id, msg.payload});
     }
     return;
-  }
-  if (trace_ != nullptr && msg.kind != WireMessage::Kind::kCommitted) {
-    const char* kind = msg.kind == WireMessage::Kind::kUpdate ? "update"
-                       : msg.kind == WireMessage::Kind::kVote ? "vote"
-                                                              : "commit";
-    trace_->record(network_.scheduler().now(), self_, "recv",
-                   std::string(kind) + " from=" + std::to_string(from) +
-                       " update=" + std::to_string(msg.update_id));
   }
   switch (msg.kind) {
     case WireMessage::Kind::kUpdate: {
@@ -516,12 +503,6 @@ void CommitPeer::check_finished(GuidContext& ctx, std::uint64_t guid,
     ++stats_.committed;
     ctx.committed.push_back({update_id, inst.request_id, inst.payload});
     const sim::Time latency = network_.scheduler().now() - inst.created;
-    if (trace_ != nullptr) {
-      trace_->record(network_.scheduler().now(), self_, "commit",
-                     "guid=" + std::to_string(guid) +
-                         " update=" + std::to_string(update_id) +
-                         " latency=" + std::to_string(latency));
-    }
     if (metrics_ != nullptr) {
       if (instance_latency_ == nullptr) {
         instance_latency_ = &metrics_->histogram(
@@ -607,12 +588,6 @@ void CommitPeer::abort_scan(sim::Time max_age) {
       }
       const std::uint64_t uid = inst.update_id;
       ++stats_.aborted;
-      if (trace_ != nullptr) {
-        trace_->record(now, self_, "abort",
-                       "guid=" + std::to_string(guid) +
-                           " update=" + std::to_string(uid) +
-                           " age=" + std::to_string(now - inst.created));
-      }
       if (metrics_ != nullptr) {
         metrics_
             ->counter("commit.aborts", {{"guid", std::to_string(guid)}})

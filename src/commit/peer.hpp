@@ -32,7 +32,6 @@
 #include "obs/span.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/network.hpp"
-#include "sim/trace.hpp"
 
 namespace asa_repro::commit {
 
@@ -81,14 +80,18 @@ class CommitPeer {
   /// factor; the peer runs it through the table commit::MachineCache
   /// published for it (or compiles its own for a machine from elsewhere)
   /// and keeps no reference to it. `peers` lists every member of the
-  /// peer set including this one. With `attach_to_network` false the peer
-  /// does not claim the network address; a host must feed it frames through
+  /// peer set including this one. With a recorder (`flight`), instance
+  /// lifecycle events (commit.instance, commit.record, commit.abort,
+  /// commit.veto) with their guid/update/request causal ids land in this
+  /// node's lane. With `attach_to_network` false the peer does not claim
+  /// the network address; a host must feed it frames through
   /// handle_frame() (used when commit and storage traffic share one node).
   CommitPeer(sim::Network& network, sim::NodeAddr self,
              std::vector<sim::NodeAddr> peers,
              const fsm::StateMachine& machine,
              Behaviour behaviour = Behaviour::kHonest,
-             sim::Trace* trace = nullptr, bool attach_to_network = true);
+             obs::FlightRecorder* flight = nullptr,
+             bool attach_to_network = true);
 
   /// Process one raw network frame (for hosts that multiplex the address).
   void handle_frame(sim::NodeAddr from, const std::string& data) {
@@ -113,11 +116,6 @@ class CommitPeer {
   /// with journal-append/ack-sent point children — the peer half of the
   /// commit critical path. nullptr (default) disables.
   void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
-
-  /// Attach a flight recorder: instance lifecycle events (created,
-  /// recorded, aborted, sink-vetoed) with their guid/update/request causal
-  /// ids land in this node's ring lane. nullptr (default) disables.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
   /// Weaken or restore the honest peer's input filtering (default: fully
   /// hardened). Only the composition replay harness uses non-default
@@ -323,12 +321,11 @@ class CommitPeer {
   std::shared_ptr<const CommitTable> table_;
   Behaviour behaviour_;
   PeerHardening hardening_;
-  sim::Trace* trace_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* instances_opened_ = nullptr;    // commit.instances_opened
   obs::Histogram* instance_latency_ = nullptr;  // commit.instance_latency_us
   obs::SpanRecorder* spans_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::FlightRecorder* flight_;
   CommitSink commit_sink_;
   AckSink ack_sink_;
   ImportSink import_sink_;

@@ -1,5 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
+#include <ostream>
 #include <utility>
 
 namespace asa_repro::obs {
@@ -17,7 +19,7 @@ FlightRecorder::Slot& FlightRecorder::claim(std::uint64_t t,
                                             const Layout& layout) {
   Ring& ring = lanes_[node];
   Slot* slot = nullptr;
-  if (ring.slots.size() < capacity_) {
+  if (ring.slots.size() < limit_) {
     slot = &ring.slots.emplace_back();
   } else {
     slot = &ring.slots[ring.next];
@@ -34,7 +36,7 @@ void FlightRecorder::record(std::uint64_t t, std::uint32_t node,
                             const char* category,
                             std::initializer_list<FlightField> fields,
                             const char* tail) {
-  if (capacity_ == 0) return;
+  if (limit_ == 0) return;
   Layout layout{.category = category, .tail = tail};
   std::array<std::uint64_t, kMaxFields> values{};
   for (const FlightField& field : fields) {
@@ -49,7 +51,7 @@ void FlightRecorder::record(std::uint64_t t, std::uint32_t node,
 
 void FlightRecorder::record(std::uint64_t t, std::uint32_t node,
                             const char* category, std::string detail) {
-  if (capacity_ == 0) return;
+  if (limit_ == 0) return;
   Slot& slot = claim(t, node, Layout{.category = category});
   slot.text = std::make_unique<std::string>(std::move(detail));
 }
@@ -73,6 +75,7 @@ std::string FlightRecorder::detail_of(const Slot& slot) const {
 
 std::vector<std::uint32_t> FlightRecorder::lanes() const {
   std::vector<std::uint32_t> out;
+  if (capacity_ == 0) return out;
   out.reserve(lanes_.size());
   for (const auto& [node, ring] : lanes_) {
     if (!ring.slots.empty()) out.push_back(node);
@@ -85,13 +88,15 @@ std::vector<const FlightRecorder::Slot*> FlightRecorder::ordered(
   const auto it = lanes_.find(node);
   if (it == lanes_.end()) return {};
   const Ring& ring = it->second;
-  std::vector<const Slot*> out;
-  out.reserve(ring.slots.size());
-  // Before the first wrap `next` is 0 and the slots are already oldest
-  // first; afterwards `next` points at the oldest surviving event.
   const std::size_t n = ring.slots.size();
-  const std::size_t start = n < capacity_ ? 0 : ring.next;
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::size_t kept = std::min(n, capacity_);
+  std::vector<const Slot*> out;
+  out.reserve(kept);
+  // A ring lane holds at most capacity_ slots, the oldest at `next` (0
+  // until the first wrap). A keep-all lane never wraps, so its view is its
+  // last capacity_ slots.
+  const std::size_t start = n > capacity_ ? n - capacity_ : ring.next;
+  for (std::size_t i = 0; i < kept; ++i) {
     out.push_back(&ring.slots[(start + i) % n]);
   }
   return out;
@@ -100,21 +105,23 @@ std::vector<const FlightRecorder::Slot*> FlightRecorder::ordered(
 std::vector<FlightEvent> FlightRecorder::lane(std::uint32_t node) const {
   std::vector<FlightEvent> out;
   for (const Slot* slot : ordered(node)) {
-    out.push_back({slot->t, slot->seq, layouts_[slot->layout].category,
+    out.push_back({slot->t, slot->seq, node, layouts_[slot->layout].category,
                    detail_of(*slot)});
   }
   return out;
 }
 
+void FlightRecorder::copy_in(std::uint32_t node, const FlightRecorder& other,
+                             const Slot& from) {
+  Slot& slot = claim(from.t, node, other.layouts_[from.layout]);
+  slot.values = from.values;
+  slot.text = from.text ? std::make_unique<std::string>(*from.text) : nullptr;
+}
+
 void FlightRecorder::merge(const FlightRecorder& other) {
-  if (capacity_ == 0) return;
+  if (limit_ == 0) return;
   for (const std::uint32_t node : other.lanes()) {
-    for (const Slot* from : other.ordered(node)) {
-      Slot& slot = claim(from->t, node, other.layouts_[from->layout]);
-      slot.values = from->values;
-      slot.text =
-          from->text ? std::make_unique<std::string>(*from->text) : nullptr;
-    }
+    for (const Slot* from : other.ordered(node)) copy_in(node, other, *from);
   }
 }
 
@@ -134,6 +141,40 @@ JsonValue FlightRecorder::to_json() const {
              std::move(events));
   }
   return root;
+}
+
+std::vector<std::pair<std::uint32_t, const FlightRecorder::Slot*>>
+FlightRecorder::stored() const {
+  std::vector<std::pair<std::uint32_t, const Slot*>> out;
+  for (const auto& [node, ring] : lanes_) {
+    for (const Slot& slot : ring.slots) out.emplace_back(node, &slot);
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second->seq < b.second->seq;
+  });
+  return out;
+}
+
+std::vector<FlightEvent> FlightRecorder::events() const {
+  std::vector<FlightEvent> out;
+  for (const auto& [node, slot] : stored()) {
+    out.push_back({slot->t, slot->seq, node, layouts_[slot->layout].category,
+                   detail_of(*slot)});
+  }
+  return out;
+}
+
+void FlightRecorder::append(const FlightRecorder& other) {
+  if (limit_ == 0) return;
+  for (const auto& [node, slot] : other.stored()) copy_in(node, other, *slot);
+}
+
+void FlightRecorder::write_jsonl(std::ostream& os) const {
+  for (const auto& [node, slot] : stored()) {
+    os << "{\"t\":" << slot->t << ",\"node\":" << node << ",\"cat\":\""
+       << json_escape(layouts_[slot->layout].category) << "\",\"detail\":\""
+       << json_escape(detail_of(*slot)) << "\"}\n";
+  }
 }
 
 }  // namespace asa_repro::obs

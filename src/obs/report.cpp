@@ -479,7 +479,14 @@ std::optional<std::vector<ReportTraceEvent>> parse_trace_jsonl(
     if (line.empty()) continue;
     const std::optional<JsonValue> value = parse_json(line);
     if (!value.has_value() || !value->is_object()) return std::nullopt;
-    if (value->find("schema") != nullptr) continue;  // Header line.
+    if (const JsonValue* schema = value->find("schema"); schema != nullptr) {
+      // Header line: /1 (the old vocabulary) and /2 read alike.
+      if (!schema->is_string() || (schema->as_string() != "asa-trace/1" &&
+                                   schema->as_string() != "asa-trace/2")) {
+        return std::nullopt;
+      }
+      continue;
+    }
     const JsonValue* t = value->find("t");
     const JsonValue* node = value->find("node");
     const JsonValue* cat = value->find("cat");
@@ -1090,7 +1097,9 @@ std::string render_report(const JsonValue& metrics,
       if (e.category == "net.send") ++sends;
       if (e.category == "net.deliver") ++delivers;
       if (e.category == "net.drop") ++drops;
-      if (e.category != "commit") continue;
+      // A recorded commit instance: commit.record in asa-trace/2, commit
+      // in /1.
+      if (e.category != "commit.record" && e.category != "commit") continue;
       const auto latency = detail_field(e.detail, "latency");
       if (!latency.has_value()) continue;
       commits.push_back({*latency, e.time, e.node,

@@ -1,7 +1,7 @@
 // Run-report rendering and schema validation for the observability files.
 //
 // asareport consumes the artifacts the tools emit — an asa-metrics/1 JSON
-// document (--metrics-out) and an asa-trace/1 JSONL event stream
+// document (--metrics-out) and an asa-trace/2 (or /1) JSONL event stream
 // (--trace-out) — and renders the human-facing summary: histogram
 // percentile tables, a per-node protocol breakdown, and the top-k slowest
 // commit instances reconstructed from the causal trace. CI's metrics smoke
@@ -74,8 +74,8 @@ struct BenchCompareResult {
 [[nodiscard]] BenchCompareResult compare_bench_metrics(
     const JsonValue& baseline, const JsonValue& current, double tolerance);
 
-/// One parsed trace event (mirror of sim::TraceEvent, kept decoupled so
-/// report rendering does not pull the simulator in).
+/// One parsed trace event: a line of the asa-trace JSONL stream
+/// FlightRecorder::write_jsonl writes.
 struct ReportTraceEvent {
   std::uint64_t time = 0;
   std::uint32_t node = 0;
@@ -83,8 +83,9 @@ struct ReportTraceEvent {
   std::string detail;
 };
 
-/// Parse an asa-trace/1 JSONL stream. Lines that are blank or carry a
-/// "schema" header are skipped; any other malformed line fails the parse.
+/// Parse an asa-trace JSONL stream. Blank lines are skipped, and so is a
+/// "schema" header naming asa-trace/1 or asa-trace/2; a header naming any
+/// other schema, or any other malformed line, fails the parse.
 [[nodiscard]] std::optional<std::vector<ReportTraceEvent>> parse_trace_jsonl(
     const std::string& text);
 

@@ -6,12 +6,7 @@ namespace asa_repro::sim {
 
 namespace {
 
-std::string route_detail(std::uint64_t id, NodeAddr from, NodeAddr to) {
-  return "id=" + std::to_string(id) + " from=" + std::to_string(from) +
-         " to=" + std::to_string(to);
-}
-
-/// A message fate in the flight recorder: the same fields as route_detail.
+/// A message fate in the recorder: its id and route.
 void record_route(obs::FlightRecorder& flight, Time now, NodeAddr lane,
                   const char* category, std::uint64_t id, NodeAddr from,
                   NodeAddr to) {
@@ -135,9 +130,6 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
   const auto it = handlers_.find(to);
   if (it == handlers_.end()) {
     ++stats_.to_dead_node;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), to, "net.dead", route_detail(id, from, to));
-    }
     if (flight_ != nullptr) {
       record_route(*flight_, sched_.now(), to, "net.dead", id, from, to);
     }
@@ -145,11 +137,6 @@ void Network::deliver_copy(NodeAddr from, NodeAddr to,
   }
   ++stats_.delivered;
   const Time latency = sched_.now() - sent_at;
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), to, "net.deliver",
-                   route_detail(id, from, to) +
-                       " latency=" + std::to_string(latency));
-  }
   if (flight_ != nullptr) {
     flight_->record(sched_.now(), to, "net.deliver",
                     {{"id", id}, {"from", from}, {"to", to},
@@ -180,19 +167,11 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
                             std::string_view payload) {
   const std::uint64_t id = next_msg_id_++;
   ++stats_.sent;
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), from, "net.send",
-                   route_detail(id, from, to) +
-                       " size=" + std::to_string(payload.size()));
-  }
   if (flight_ != nullptr) {
     record_route(*flight_, sched_.now(), from, "net.send", id, from, to);
   }
   if (partitions_.contains({from, to})) {
     ++stats_.partitioned;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), from, "net.part", route_detail(id, from, to));
-    }
     if (flight_ != nullptr) {
       record_route(*flight_, sched_.now(), from, "net.part", id, from, to);
     }
@@ -218,9 +197,6 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
   if (loss > 0.0 && ls.rng.chance(loss)) {
     ++stats_.dropped;
     if (burst) ++stats_.burst_dropped;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), from, "net.drop", route_detail(id, from, to));
-    }
     if (flight_ != nullptr) {
       record_route(*flight_, sched_.now(), from, "net.drop", id, from, to);
     }
@@ -230,9 +206,6 @@ std::uint64_t Network::send(NodeAddr from, NodeAddr to,
   if (duplicate_probability_ > 0.0 && ls.rng.chance(duplicate_probability_)) {
     ++stats_.duplicated;
     copies = 2;
-    if (trace_ != nullptr) {
-      trace_->record(sched_.now(), from, "net.dup", route_detail(id, from, to));
-    }
     if (flight_ != nullptr) {
       record_route(*flight_, sched_.now(), from, "net.dup", id, from, to);
     }
@@ -335,10 +308,6 @@ void Network::drop_pending(std::size_t index) {
   const PendingMessage msg = std::move(pending_[index]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
   ++stats_.dropped;
-  if (trace_ != nullptr) {
-    trace_->record(sched_.now(), msg.from, "net.drop",
-                   route_detail(msg.id, msg.from, msg.to));
-  }
   if (flight_ != nullptr) {
     record_route(*flight_, sched_.now(), msg.from, "net.drop", msg.id,
                  msg.from, msg.to);

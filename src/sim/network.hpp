@@ -26,15 +26,16 @@
 //
 // Causal message tracing: every send is assigned a monotonically
 // increasing message id, threaded from the send decision (drop, duplicate,
-// partition) through to each delivery. With a trace sink attached the
-// network emits one event per decision — net.send, net.drop, net.part,
-// net.dup, net.deliver, net.dead — so per-message latency, loss and
-// amplification are attributable to individual messages rather than only
-// counted in aggregate, and the JSONL trace reconciles exactly with
-// NetworkStats. With a metrics registry attached, delivery latencies feed
-// per-link histograms. Both hooks default to off and cost one pointer test
-// per message when off; ids are always assigned (one increment) so replay
-// tooling can correlate runs.
+// partition) through to each delivery. With a recorder attached the
+// network records one event per decision — net.send, net.drop, net.part,
+// net.dup, net.deliver (with its latency), net.dead, each carrying the id
+// and route — so per-message latency, loss and amplification are
+// attributable to individual messages rather than only counted in
+// aggregate, and the trace reconciles exactly with NetworkStats. With a
+// metrics registry attached, delivery latencies feed per-link histograms.
+// Both hooks default to off and cost one pointer test per message when
+// off; ids are always assigned (one increment) so replay tooling can
+// correlate runs.
 //
 // Frames in flight: send() takes a view and copies the bytes into the
 // message copy's slab slot — inline up to kInlineFrame bytes (every commit
@@ -61,7 +62,6 @@
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 
 namespace asa_repro::sim {
 
@@ -168,17 +168,13 @@ class Network {
   /// the bad (bursty-loss) state.
   [[nodiscard]] bool link_in_bad_state(NodeAddr from, NodeAddr to) const;
 
-  /// Attach a structured-event sink for causal per-message tracing
-  /// (categories net.*). nullptr (default) disables.
-  void set_trace(Trace* trace) { trace_ = trace; }
-
   /// Attach a metrics registry for per-link latency histograms. nullptr
   /// (default) disables. Each link resolves its two series on its first
   /// delivery and keeps the handles; attaching another registry drops them.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Attach a flight recorder: message fates land in the per-node ring
-  /// lanes (send-side fates under `from`, terminal fates under `to`).
+  /// Attach a recorder for causal per-message events (categories net.*):
+  /// send-side fates land in `from`'s lane, terminal fates in `to`'s.
   /// nullptr (default) disables.
   void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
@@ -293,7 +289,7 @@ class Network {
   };
   static_assert(sizeof(InFlight) == 64, "one cache line per slot");
 
-  /// Terminal step of one message copy: account, trace and hand to the
+  /// Terminal step of one message copy: account, record and hand to the
   /// receiver's handler (or the dead-node sink).
   void deliver_copy(NodeAddr from, NodeAddr to, const std::string& payload,
                     std::uint64_t id, Time sent_at);
@@ -328,7 +324,6 @@ class Network {
   // anything observable: each link's randomness is its own substream.
   std::unordered_map<std::uint64_t, LinkState> links_;
   NetworkStats stats_;
-  Trace* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint64_t next_msg_id_ = 1;

@@ -1,88 +1,77 @@
 #include "sim/sequence.hpp"
 
-#include <optional>
+#include <cstring>
 #include <set>
 #include <string>
+#include <vector>
+
+#include "obs/report.hpp"
 
 namespace asa_repro::sim {
 
 namespace {
 
-/// Extract the integer value of a "key=<digits>" token, if present.
-std::optional<std::uint64_t> field(const std::string& detail,
-                                   const std::string& key) {
-  const std::string needle = key + "=";
-  const std::size_t pos = detail.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  std::uint64_t value = 0;
-  bool any = false;
-  for (std::size_t i = pos + needle.size(); i < detail.size(); ++i) {
-    const char c = detail[i];
-    if (c < '0' || c > '9') break;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return value;
+bool is(const obs::FlightEvent& e, const char* category) {
+  return std::strcmp(e.category, category) == 0;
 }
 
-/// The message kind is the first word of the detail ("vote update=3 ...").
-std::string first_word(const std::string& detail) {
-  const std::size_t space = detail.find(' ');
-  return space == std::string::npos ? detail : detail.substr(0, space);
+/// A note's label: "commit u7" / "abort u9".
+std::string note_label(const obs::FlightEvent& e) {
+  std::string label = is(e, "commit.record") ? "commit" : "abort";
+  if (const auto update = obs::detail_field(e.detail, "update");
+      update.has_value()) {
+    label += " u" + std::to_string(*update);
+  }
+  return label;
 }
 
 }  // namespace
 
-std::string render_sequence_mermaid(const Trace& trace,
+std::string render_sequence_mermaid(const obs::FlightRecorder& recorder,
                                     const SequenceOptions& options) {
+  const std::vector<obs::FlightEvent> events = recorder.events();
   // Collect the participants first so lifelines appear in node order.
-  std::set<std::uint32_t> participants;
-  for (const TraceEvent& e : trace.events()) {
-    if (e.category == "recv" || e.category == "commit" ||
-        e.category == "abort") {
-      participants.insert(e.node);
-      if (e.category == "recv") {
-        if (const auto from = field(e.detail, "from"); from.has_value()) {
-          participants.insert(static_cast<std::uint32_t>(*from));
-        }
+  std::set<std::uint64_t> participants;
+  for (const obs::FlightEvent& e : events) {
+    if (is(e, "net.deliver")) {
+      const auto from = obs::detail_field(e.detail, "from");
+      const auto to = obs::detail_field(e.detail, "to");
+      if (from.has_value() && to.has_value()) {
+        participants.insert(*from);
+        participants.insert(*to);
       }
+    } else if (is(e, "commit.record") || is(e, "commit.abort")) {
+      participants.insert(e.node);
     }
   }
 
+  const auto name = [&options](std::uint64_t node) {
+    return options.participant_prefix + std::to_string(node);
+  };
   std::string out = "sequenceDiagram\n";
-  for (std::uint32_t p : participants) {
-    out += "    participant " + options.participant_prefix +
-           std::to_string(p) + "\n";
+  for (const std::uint64_t p : participants) {
+    out += "    participant " + name(p) + "\n";
   }
 
   std::size_t rendered = 0;
-  for (const TraceEvent& e : trace.events()) {
+  for (const obs::FlightEvent& e : events) {
     if (options.max_events != 0 && rendered >= options.max_events) {
-      out += "    Note over " + options.participant_prefix +
-             std::to_string(*participants.begin()) + ": ... (truncated)\n";
+      out += "    Note over " + name(*participants.begin()) +
+             ": ... (truncated)\n";
       break;
     }
-    const std::string self =
-        options.participant_prefix + std::to_string(e.node);
-    if (e.category == "recv") {
-      const auto from = field(e.detail, "from");
-      if (!from.has_value()) continue;
-      std::string label = first_word(e.detail);
-      if (const auto update = field(e.detail, "update");
-          update.has_value()) {
-        label += " u" + std::to_string(*update);
+    if (is(e, "net.deliver")) {
+      const auto from = obs::detail_field(e.detail, "from");
+      const auto to = obs::detail_field(e.detail, "to");
+      if (!from.has_value() || !to.has_value()) continue;
+      std::string label = "msg";
+      if (const auto id = obs::detail_field(e.detail, "id"); id.has_value()) {
+        label += " #" + std::to_string(*id);
       }
-      out += "    " + options.participant_prefix + std::to_string(*from) +
-             "->>" + self + ": " + label + "\n";
+      out += "    " + name(*from) + "->>" + name(*to) + ": " + label + "\n";
       ++rendered;
-    } else if (e.category == "commit" || e.category == "abort") {
-      std::string label = e.category;
-      if (const auto update = field(e.detail, "update");
-          update.has_value()) {
-        label += " u" + std::to_string(*update);
-      }
-      out += "    Note over " + self + ": " + label + "\n";
+    } else if (is(e, "commit.record") || is(e, "commit.abort")) {
+      out += "    Note over " + name(e.node) + ": " + note_label(e) + "\n";
       ++rendered;
     }
   }

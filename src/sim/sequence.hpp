@@ -1,15 +1,16 @@
-// Sequence-diagram rendering of simulation traces.
+// Sequence-diagram rendering of recorded runs.
 //
-// Protocol components record structured trace events ("recv" events carry
-// "from=<node>" in their detail); this renderer turns a trace into a
-// Mermaid sequenceDiagram — a publishable artefact showing an actual
-// protocol run, complementing the static state diagrams. Commit and abort
-// events become notes over the acting node's lifeline.
+// The recorder's trace view holds every message delivery (net.deliver,
+// with "from=<node> to=<node>" in its detail) and every commit-instance
+// outcome; this renderer turns it into a Mermaid sequenceDiagram — a
+// publishable artefact showing an actual protocol run, complementing the
+// static state diagrams. Recorded commits and aborts become notes over the
+// acting node's lifeline.
 #pragma once
 
 #include <string>
 
-#include "sim/trace.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace asa_repro::sim {
 
@@ -20,10 +21,11 @@ struct SequenceOptions {
   std::string participant_prefix = "node";
 };
 
-/// Render `trace` as a Mermaid sequence diagram. Events of category "recv"
-/// become arrows (sender parsed from a "from=N" token in the detail);
-/// "commit" and "abort" events become notes.
+/// Render the recorder's stored events as a Mermaid sequence diagram.
+/// net.deliver events become arrows labelled with the message id (sender
+/// and receiver parsed from their "from=N" and "to=N" tokens);
+/// commit.record and commit.abort events become notes.
 [[nodiscard]] std::string render_sequence_mermaid(
-    const Trace& trace, const SequenceOptions& options = {});
+    const obs::FlightRecorder& recorder, const SequenceOptions& options = {});
 
 }  // namespace asa_repro::sim

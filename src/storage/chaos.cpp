@@ -503,8 +503,9 @@ sim::FaultPlan generate_fault_plan(const ChaosConfig& config,
 // --------------------------------------------------------------- one run
 
 ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
-                     obs::MetricsRegistry* metrics, sim::Trace* trace,
-                     obs::FlightRecorder* flight, obs::SpanRecorder* spans) {
+                     obs::MetricsRegistry* metrics,
+                     obs::FlightRecorder* trace, obs::FlightRecorder* flight,
+                     obs::SpanRecorder* spans) {
   ClusterConfig cluster_config;
   cluster_config.nodes = config.nodes;
   cluster_config.replication_factor = config.replication;
@@ -819,8 +820,9 @@ ChaosReport run_plan(const ChaosConfig& config, const sim::FaultPlan& plan,
     metrics->merge(cluster.metrics());
   }
   if (trace != nullptr) {
-    trace->record(0, 0, "campaign", "seed=" + std::to_string(config.seed));
-    trace->append(cluster.trace());
+    trace->record(0, obs::FlightRecorder::kClusterLane, "campaign",
+                  {{"seed", config.seed}});
+    trace->append(cluster.flight());
   }
   if (flight != nullptr) flight->merge(cluster.flight());
   if (spans != nullptr) spans->merge(cluster.spans());

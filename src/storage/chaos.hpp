@@ -27,7 +27,6 @@
 #include "obs/span.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 #include "storage/invariant_checker.hpp"
 
 namespace asa_repro::storage {
@@ -131,17 +130,17 @@ struct ChaosReport {
 /// none, so reproducers run unobserved and fast): with `metrics` the
 /// run's cluster enables its registry and merges it into `metrics` at the
 /// end (counters/histograms accumulate across seeds); with `trace` the
-/// run's causal message/commit trace is appended to `trace`, prefixed by a
-/// `campaign` marker event carrying the seed. With `flight` the cluster
-/// runs a 256-slot-per-node flight recorder (plus horizon-bounded
-/// queue-depth sampling on the cluster lane) merged into `flight` at the
-/// end; with `spans` the commit-path span timeline is recorded and merged
-/// likewise. None of these affect the event timeline: identical seeds
+/// cluster's recorder keeps every event, and they are appended to `trace`
+/// in record order behind a `campaign seed=N` marker on the cluster lane.
+/// With `flight` the cluster's recorder has a 256-slot-per-node flight view
+/// (plus horizon-bounded queue-depth sampling on the cluster lane) merged
+/// into `flight` lane by lane at the end; with `spans` the commit-path span
+/// timeline is recorded and merged likewise. None of these affect the event timeline: identical seeds
 /// produce identical runs observed or not.
 [[nodiscard]] ChaosReport run_plan(const ChaosConfig& config,
                                    const sim::FaultPlan& plan,
                                    obs::MetricsRegistry* metrics = nullptr,
-                                   sim::Trace* trace = nullptr,
+                                   obs::FlightRecorder* trace = nullptr,
                                    obs::FlightRecorder* flight = nullptr,
                                    obs::SpanRecorder* spans = nullptr);
 

@@ -10,17 +10,17 @@ AsaCluster::AsaCluster(ClusterConfig config)
       rng_(config.seed),
       network_(scheduler_, sim::Rng(config.seed ^ 0x6E6574ull),
                config.latency),
-      trace_(config.tracing),
       metrics_(config.metrics),
-      flight_(config.flight_capacity),
+      flight_(config.flight_capacity,
+              config.tracing ? obs::FlightRecorder::Retention::kAll
+                             : obs::FlightRecorder::Retention::kRing),
       ring_(sim::Rng(config.seed ^ 0x72696E67ull)) {
   network_.set_drop_probability(config_.drop_probability);
-  if (config_.tracing) network_.set_trace(&trace_);
   if (config_.metrics) {
     network_.set_metrics(&metrics_);
     ring_.set_metrics(&metrics_);
   }
-  if (flight_.enabled()) network_.set_flight(&flight_);
+  network_.set_flight(recorder());
 
   // Build the Chord ring and one host per node; host index == NodeAddr.
   ring_.build(config_.nodes);
@@ -53,10 +53,9 @@ void AsaCluster::rebuild_host(std::size_t index,
       machines_.machine_for(config_.replication_factor);
   hosts_[index] = std::make_unique<NodeHost>(
       network_, static_cast<sim::NodeAddr>(index), machine, behaviour,
-      config_.tracing ? &trace_ : nullptr);
+      recorder());
   if (config_.metrics) hosts_[index]->peer().set_metrics(&metrics_);
   if (config_.spans) hosts_[index]->peer().set_spans(&span_recorder_);
-  if (flight_.enabled()) hosts_[index]->peer().set_flight(&flight_);
   hosts_[index]->peer().set_peer_resolver(
       [this](std::uint64_t guid_key, std::vector<sim::NodeAddr>& out) {
         const auto it = guid_registry_.find(guid_key);
@@ -75,8 +74,7 @@ void AsaCluster::rebuild_host(std::size_t index,
         [this, index](std::uint64_t guid,
                       const commit::CommitPeer::CommittedEntry& e) {
           acked_[index][guid][e.request_id] = e.payload;
-        },
-        flight_.enabled() ? &flight_ : nullptr);
+        });
   }
 }
 
@@ -199,7 +197,7 @@ std::size_t AsaCluster::migrate_version_history(const Guid& guid) {
 }
 
 void AsaCluster::schedule_flight_sampling(sim::Time until, sim::Time every) {
-  if (!flight_.enabled() || every == 0) return;
+  if (flight_.capacity() == 0 || every == 0) return;
   // A fixed fan of one-shot events (not a self-rescheduling chain) so the
   // scheduler still quiesces once real traffic drains.
   for (sim::Time at = scheduler_.now(); at <= until; at += every) {
@@ -378,19 +376,14 @@ std::size_t AsaCluster::restart_node(std::size_t index) {
         metrics_.counter("recovery.snapshots_loaded").inc();
       }
     }
-    const std::string recovery_detail =
-        "replayed=" + std::to_string(stats.replayed_records) +
-        " entries=" + std::to_string(stats.entries_recovered) +
-        " truncated=" + std::to_string(stats.truncated_bytes) +
-        " skipped_crc=" + std::to_string(stats.skipped_crc) +
-        " snapshot=" + (stats.snapshot_loaded ? "yes" : "no") +
-        " reconciled=" + std::to_string(reconciled);
-    if (config_.tracing) {
-      trace_.record(scheduler_.now(), static_cast<sim::NodeAddr>(index),
-                    "recovery", recovery_detail);
-    }
     flight_.record(scheduler_.now(), static_cast<std::uint32_t>(index),
-                   "journal.replay", recovery_detail);
+                   "journal.replay",
+                   "replayed=" + std::to_string(stats.replayed_records) +
+                       " entries=" + std::to_string(stats.entries_recovered) +
+                       " truncated=" + std::to_string(stats.truncated_bytes) +
+                       " skipped_crc=" + std::to_string(stats.skipped_crc) +
+                       " snapshot=" + (stats.snapshot_loaded ? "yes" : "no") +
+                       " reconciled=" + std::to_string(reconciled));
   }
 
   // Regenerate this node's missing block replicas from intact copies.
@@ -411,16 +404,11 @@ void AsaCluster::note_churn(const char* kind, std::size_t index) {
         .histogram("churn.ring_size_samples", {}, obs::small_count_buckets())
         .observe(ring_.size());
   }
-  const std::string detail = std::string(kind) +
-                             " node=" + std::to_string(index) +
-                             " epoch=" + std::to_string(membership_epoch_) +
-                             " ring=" + std::to_string(ring_.size());
-  if (config_.tracing) {
-    trace_.record(scheduler_.now(), static_cast<sim::NodeAddr>(index),
-                  "churn", detail);
-  }
   flight_.record(scheduler_.now(), obs::FlightRecorder::kClusterLane,
-                 "churn", detail);
+                 "churn",
+                 std::string(kind) + " node=" + std::to_string(index) +
+                     " epoch=" + std::to_string(membership_epoch_) +
+                     " ring=" + std::to_string(ring_.size()));
 }
 
 std::size_t AsaCluster::add_node() {

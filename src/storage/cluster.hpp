@@ -24,7 +24,6 @@
 #include "obs/span.hpp"
 #include "p2p/chord.hpp"
 #include "sim/network.hpp"
-#include "sim/trace.hpp"
 #include "storage/data_store.hpp"
 #include "storage/maintenance.hpp"
 #include "storage/node_host.hpp"
@@ -39,6 +38,9 @@ struct ClusterConfig {
   sim::LatencyModel latency{};
   double drop_probability = 0.0;
   commit::RetryPolicy retry{};
+  /// Keep every recorded event (message fates, commit-instance phases,
+  /// journal appends and replays, churn) for the asa-trace/2 export: the
+  /// recorder's retention becomes keep-all. Off by default.
   bool tracing = false;
   /// Enable the metrics registry: live histograms (per-link latency, commit
   /// lifecycle, route hops) plus a snapshot of every layer's flat stats at
@@ -60,10 +62,11 @@ struct ClusterConfig {
   /// Snapshot a node's journal into its snapshot file every this many
   /// commit records (0 disables snapshots).
   std::size_t snapshot_every = 64;
-  /// Per-node capacity of the flight recorder (recent structured events:
+  /// Per-node capacity of the flight view (the recorder's recent events:
   /// message fates, commit-instance phases, journal appends/replays,
-  /// queue-depth samples). 0 (default) disables it entirely — components
-  /// see a null recorder and pay one pointer test per event.
+  /// queue-depth samples). 0 (default) with tracing off disables the
+  /// recorder entirely — components see a null recorder and pay one
+  /// pointer test per event.
   std::size_t flight_capacity = 0;
   /// Record commit-path spans (root commit / attempt on the endpoint side,
   /// vote-collect / quorum with journal-append & ack-sent points on the
@@ -82,8 +85,9 @@ class AsaCluster {
 
   [[nodiscard]] sim::Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] sim::Network& network() { return network_; }
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  /// The run's one event recorder: flight view and, when tracing, the
+  /// trace view.
   [[nodiscard]] obs::FlightRecorder& flight() { return flight_; }
   [[nodiscard]] obs::SpanRecorder& spans() { return span_recorder_; }
   [[nodiscard]] p2p::ChordRing& ring() { return ring_; }
@@ -239,8 +243,8 @@ class AsaCluster {
   /// Sample the scheduler's queue depth into the flight recorder's cluster
   /// lane every `every` microseconds until `until` (inclusive start at the
   /// current time). Horizon-bounded by design: a self-rescheduling sampler
-  /// would keep the scheduler from ever going quiescent. No-op when the
-  /// flight recorder is disabled.
+  /// would keep the scheduler from ever going quiescent. No-op when
+  /// flight_capacity is 0 (tracing alone samples nothing).
   void schedule_flight_sampling(sim::Time until, sim::Time every);
 
   /// Mirror every layer's always-on flat stats into the metrics registry:
@@ -255,7 +259,6 @@ class AsaCluster {
   sim::Scheduler scheduler_;
   sim::Rng rng_;
   sim::Network network_;
-  sim::Trace trace_;
   obs::MetricsRegistry metrics_;
   obs::FlightRecorder flight_;
   obs::SpanRecorder span_recorder_;
@@ -267,13 +270,18 @@ class AsaCluster {
   /// the scheduler runs.
   void rebuild_host(std::size_t index, commit::Behaviour behaviour);
 
+  /// The recorder components hold: nullptr when it records nothing.
+  [[nodiscard]] obs::FlightRecorder* recorder() {
+    return flight_.enabled() ? &flight_ : nullptr;
+  }
+
   /// Donor entry list covering the f+1-agreed history for `guid`, or
   /// nullptr when nothing is agreed / no member covers it.
   [[nodiscard]] const std::vector<commit::CommitPeer::CommittedEntry>*
   find_donor(const Guid& guid);
 
   /// Record a membership change: churn counters, ring-size gauge and
-  /// over-time samples, epoch gauge, trace/flight events.
+  /// over-time samples, epoch gauge, a churn event.
   void note_churn(const char* kind, std::size_t index);
 
   p2p::ChordRing ring_;

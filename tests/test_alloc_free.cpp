@@ -57,18 +57,16 @@ class Stack {
       : network_(sched_, sim::Rng(11), sim::LatencyModel{500, 5'000}) {
     std::vector<sim::NodeAddr> addrs{0, 1, 2, 3};
     for (const sim::NodeAddr a : addrs) {
-      peers_.push_back(std::make_unique<CommitPeer>(network_, a, addrs,
-                                                    cache_.machine_for(4)));
+      peers_.push_back(std::make_unique<CommitPeer>(
+          network_, a, addrs, cache_.machine_for(4), Behaviour::kHonest,
+          observed ? &flight_ : nullptr));
     }
     endpoint_ = std::make_unique<CommitEndpoint>(
         network_, 100, addrs, 1, RetryPolicy{}, sim::Rng(12));
     if (observed) {
       network_.set_metrics(&metrics_);
       network_.set_flight(&flight_);
-      for (const auto& p : peers_) {
-        p->set_metrics(&metrics_);
-        p->set_flight(&flight_);
-      }
+      for (const auto& p : peers_) p->set_metrics(&metrics_);
       endpoint_->set_metrics(&metrics_);
     }
   }

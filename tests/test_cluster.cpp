@@ -604,18 +604,26 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-TEST(Cluster, ObservedRunMatchesPinnedDigest) {
-  // A seeded run with every observer on — metrics, a 64-event flight
-  // recorder, spans — over 1% loss, a crash and journal restart, a join, a
-  // graceful leave, contended appends and reads. The four exports are
-  // pinned to digests of the bytes this scenario has always produced, so
-  // any change to what the cluster does, or to how routing, metrics and
-  // flight events are recorded and rendered, fails here.
+/// The four exports of one observed run: metrics, flight JSON, spans and
+/// a post-mortem bundle.
+struct ObservedExports {
+  std::string metrics;
+  std::string flight;
+  std::string spans;
+  std::string bundle;
+};
+
+/// A seeded run with every observer on — metrics, a 64-event flight view,
+/// spans — over 1% loss, a crash and journal restart, a join, a graceful
+/// leave, contended appends and reads; `tracing` additionally keeps every
+/// recorded event.
+ObservedExports observed_run(bool tracing) {
   ClusterConfig config = small_cluster(1234);
   config.drop_probability = 0.01;
   config.metrics = true;
   config.flight_capacity = 64;
   config.spans = true;
+  config.tracing = tracing;
   config.abort_scan_interval = 60'000;
   config.abort_max_age = 80'000;
   AsaCluster cluster(config);
@@ -665,21 +673,42 @@ TEST(Cluster, ObservedRunMatchesPinnedDigest) {
   EXPECT_GT(cluster.flight().total_recorded(),
             2 * config.flight_capacity * config.nodes);
   EXPECT_EQ(cluster.flight().lane(0).size(), config.flight_capacity);
+  // Tracing keeps every event behind the same flight view.
+  const std::size_t stored = cluster.flight().events().size();
+  if (tracing) {
+    EXPECT_EQ(stored, cluster.flight().total_recorded());
+  } else {
+    EXPECT_LT(stored, cluster.flight().total_recorded());
+  }
 
   cluster.snapshot_metrics();
   const obs::Meta meta{{"tool", "test"}, {"seed", "1234"}};
-  const std::string metrics = obs::write_metrics_json(cluster.metrics(), meta);
-  const std::string flight = cluster.flight().to_json().dump(1);
-  const std::string spans = obs::write_spans_json(cluster.spans(), meta);
-  const std::string bundle = obs::write_postmortem_json(
+  ObservedExports out;
+  out.metrics = obs::write_metrics_json(cluster.metrics(), meta);
+  out.flight = cluster.flight().to_json().dump(1);
+  out.spans = obs::write_spans_json(cluster.spans(), meta);
+  out.bundle = obs::write_postmortem_json(
       meta, {{"pinned", "no violation; bundle layout only"}}, {"plan"}, {},
       cluster.flight(), cluster.metrics(), cluster.spans());
-  EXPECT_NE(metrics.find("chord.route_hops"), std::string::npos);
-  EXPECT_NE(flight.find("journal.append"), std::string::npos);
-  EXPECT_EQ(hex(fnv1a(metrics)), "0x631AB9BD3C8EE05F");
-  EXPECT_EQ(hex(fnv1a(flight)), "0x57C5A62AFA7DC824");
-  EXPECT_EQ(hex(fnv1a(spans)), "0x2E0CDE1A4D730DF9");
-  EXPECT_EQ(hex(fnv1a(bundle)), "0x7A0D41F9786C802C");
+  return out;
+}
+
+TEST(Cluster, ObservedRunMatchesPinnedDigest) {
+  // The four exports are pinned to digests of the bytes this scenario has
+  // always produced, so any change to what the cluster does, or to how
+  // routing, metrics and flight events are recorded and rendered, fails
+  // here. A traced run keeps every event, yet its flight view, and so
+  // every export, is the same.
+  for (const bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "tracing on" : "tracing off");
+    const ObservedExports run = observed_run(tracing);
+    EXPECT_NE(run.metrics.find("chord.route_hops"), std::string::npos);
+    EXPECT_NE(run.flight.find("journal.append"), std::string::npos);
+    EXPECT_EQ(hex(fnv1a(run.metrics)), "0x631AB9BD3C8EE05F");
+    EXPECT_EQ(hex(fnv1a(run.flight)), "0x57C5A62AFA7DC824");
+    EXPECT_EQ(hex(fnv1a(run.spans)), "0x2E0CDE1A4D730DF9");
+    EXPECT_EQ(hex(fnv1a(run.bundle)), "0x7A0D41F9786C802C");
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -23,7 +24,6 @@
 #include "obs/span.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 #include "storage/chaos.hpp"
 #include "storage/cluster.hpp"
 
@@ -182,39 +182,101 @@ TEST(MetricsJson, ValidatorRejectsWrongSchemaAndShape) {
 // ---- Trace JSONL round-trip, including hostile details. ----
 
 TEST(TraceJsonl, RoundTripPreservesNewlinesQuotesAndControlChars) {
-  sim::Trace trace;
-  trace.record(10, 1, "cat.a", "plain detail");
-  trace.record(20, 2, "cat.b", "line one\nline two\ttabbed");
-  trace.record(30, 3, "cat.a", R"(quotes " and \ backslash)");
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
+  trace.record(10, 1, "cat.a", std::string("plain detail"));
+  trace.record(20, 2, "cat.b", std::string("line one\nline two\ttabbed"));
+  trace.record(30, 3, "cat.a", std::string(R"(quotes " and \ backslash)"));
   trace.record(40, 4, "cat\"c", std::string("nul \x01 ctrl"));
+  trace.record(50, 1, "cat.d", {{"id", 7}, {"to", 2}}, "ok");
 
   std::ostringstream os;
-  os << R"({"schema":"asa-trace/1","tool":"test"})" << "\n";
-  trace.dump_jsonl(os);
+  os << R"({"schema":"asa-trace/2","tool":"test"})" << "\n";
+  trace.write_jsonl(os);
   os << "\n";  // Trailing blank line must be tolerated.
 
-  const auto events = sim::Trace::parse_jsonl(os.str());
+  const auto events = obs::parse_trace_jsonl(os.str());
   ASSERT_TRUE(events.has_value());
-  ASSERT_EQ(events->size(), trace.events().size());
+  const std::vector<obs::FlightEvent> recorded = trace.events();
+  ASSERT_EQ(events->size(), recorded.size());
   for (std::size_t i = 0; i < events->size(); ++i) {
-    EXPECT_EQ((*events)[i].time, trace.events()[i].time);
-    EXPECT_EQ((*events)[i].node, trace.events()[i].node);
-    EXPECT_EQ((*events)[i].category, trace.events()[i].category);
-    EXPECT_EQ((*events)[i].detail, trace.events()[i].detail);
+    EXPECT_EQ((*events)[i].time, recorded[i].t);
+    EXPECT_EQ((*events)[i].node, recorded[i].node);
+    EXPECT_EQ((*events)[i].category, recorded[i].category);
+    EXPECT_EQ((*events)[i].detail, recorded[i].detail);
   }
-
-  // The decoupled report-side parser agrees.
-  const auto report_events = obs::parse_trace_jsonl(os.str());
-  ASSERT_TRUE(report_events.has_value());
-  ASSERT_EQ(report_events->size(), trace.events().size());
-  EXPECT_EQ((*report_events)[1].detail, "line one\nline two\ttabbed");
+  EXPECT_EQ((*events)[1].detail, "line one\nline two\ttabbed");
+  EXPECT_EQ((*events)[3].category, "cat\"c");
+  EXPECT_EQ((*events)[4].detail, "id=7 to=2 ok");
 }
 
 TEST(TraceJsonl, MalformedLineFailsTheParse) {
-  EXPECT_FALSE(sim::Trace::parse_jsonl("not json\n").has_value());
+  EXPECT_FALSE(obs::parse_trace_jsonl("not json\n").has_value());
   EXPECT_FALSE(
-      sim::Trace::parse_jsonl(R"({"t":1,"node":0,"cat":"x"})" "\n{oops\n")
+      obs::parse_trace_jsonl(R"({"t":1,"node":0,"cat":"x"})" "\n{oops\n")
           .has_value());
+  // A line written by the recorder parses; the same stream under a header
+  // naming another schema does not.
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
+  trace.record(1, 0, "x", std::string("y"));
+  std::ostringstream body;
+  trace.write_jsonl(body);
+  for (const char* schema : {"asa-trace/1", "asa-trace/2"}) {
+    EXPECT_TRUE(obs::parse_trace_jsonl(std::string(R"({"schema":")") +
+                                       schema + "\"}\n" + body.str())
+                    .has_value())
+        << schema;
+  }
+  for (const char* header :
+       {R"({"schema":"asa-trace/3"})", R"({"schema":"asa-metrics/1"})",
+        R"({"schema":2})"}) {
+    EXPECT_FALSE(
+        obs::parse_trace_jsonl(header + std::string("\n") + body.str())
+            .has_value())
+        << header;
+  }
+}
+
+TEST(TraceJsonl, VersionOneAndTwoRenderTheSameReport) {
+  // The same run in both vocabularies: /1 named a recorded commit
+  // instance "commit" and added trace-only events; /2 calls it
+  // commit.record and carries the request id. The report reads both.
+  const std::string v1 =
+      R"({"schema":"asa-trace/1","tool":"asasim","seed":7})" "\n"
+      R"({"t":0,"node":1000000,"cat":"net.send","detail":"id=1 from=1000000 to=2 size=40"})" "\n"
+      R"({"t":900,"node":2,"cat":"net.deliver","detail":"id=1 from=1000000 to=2 latency=900"})" "\n"
+      R"({"t":900,"node":2,"cat":"instance","detail":"guid=5 update=8 created"})" "\n"
+      R"({"t":900,"node":2,"cat":"recv","detail":"update from=1000000 update=8"})" "\n"
+      R"({"t":900,"node":2,"cat":"net.send","detail":"id=2 from=2 to=3 size=40"})" "\n"
+      R"({"t":900,"node":2,"cat":"net.drop","detail":"id=2 from=2 to=3"})" "\n"
+      R"({"t":4100,"node":2,"cat":"commit","detail":"guid=5 update=8 latency=3200"})" "\n"
+      R"({"t":4200,"node":3,"cat":"commit","detail":"guid=5 update=8 latency=3200"})" "\n"
+      R"({"t":5000,"node":1,"cat":"commit","detail":"guid=6 update=9 latency=4100"})" "\n"
+      R"({"t":6000,"node":1,"cat":"abort","detail":"guid=6 update=10 age=90000"})" "\n";
+  const std::string v2 =
+      R"({"schema":"asa-trace/2","tool":"asasim","seed":7})" "\n"
+      R"({"t":0,"node":1000000,"cat":"net.send","detail":"id=1 from=1000000 to=2"})" "\n"
+      R"({"t":900,"node":2,"cat":"net.deliver","detail":"id=1 from=1000000 to=2 latency=900"})" "\n"
+      R"({"t":900,"node":2,"cat":"commit.instance","detail":"guid=5 update=8 request=1"})" "\n"
+      R"({"t":900,"node":2,"cat":"net.send","detail":"id=2 from=2 to=3"})" "\n"
+      R"({"t":900,"node":2,"cat":"net.drop","detail":"id=2 from=2 to=3"})" "\n"
+      R"({"t":4100,"node":2,"cat":"commit.record","detail":"guid=5 update=8 request=1 latency=3200"})" "\n"
+      R"({"t":4100,"node":2,"cat":"journal.append","detail":"guid=5 update=8 request=1 ok"})" "\n"
+      R"({"t":4200,"node":3,"cat":"commit.record","detail":"guid=5 update=8 request=1 latency=3200"})" "\n"
+      R"({"t":5000,"node":1,"cat":"commit.record","detail":"guid=6 update=9 request=2 latency=4100"})" "\n"
+      R"({"t":6000,"node":1,"cat":"commit.abort","detail":"guid=6 update=10 request=3"})" "\n";
+  const auto metrics = obs::parse_json(R"({"schema":"asa-metrics/1"})");
+  ASSERT_TRUE(metrics.has_value());
+  const auto first = obs::parse_trace_jsonl(v1);
+  const auto second = obs::parse_trace_jsonl(v2);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  const std::string report = obs::render_report(*metrics, *first);
+  EXPECT_EQ(report, obs::render_report(*metrics, *second));
+  EXPECT_NE(report.find("top 3 slowest commit instances (of 3)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("2 sends, 1 deliveries, 1 drops"), std::string::npos)
+      << report;
 }
 
 TEST(TraceJsonl, DetailFieldExtraction) {
@@ -226,23 +288,33 @@ TEST(TraceJsonl, DetailFieldExtraction) {
 
 // ---- Causal trace <-> NetworkStats reconciliation under forced faults. ----
 
+// The events of one category, in record order.
+std::vector<obs::FlightEvent> in_category(const obs::FlightRecorder& trace,
+                                          std::string_view category) {
+  std::vector<obs::FlightEvent> out;
+  for (obs::FlightEvent& e : trace.events()) {
+    if (e.category == category) out.push_back(std::move(e));
+  }
+  return out;
+}
+
 // Collect the id= field of every event in a category.
-std::vector<std::uint64_t> ids_in(const sim::Trace& trace,
+std::vector<std::uint64_t> ids_in(const obs::FlightRecorder& trace,
                                   const std::string& category) {
   std::vector<std::uint64_t> ids;
-  trace.for_each_in_category(category, [&](const sim::TraceEvent& e) {
+  for (const obs::FlightEvent& e : in_category(trace, category)) {
     const auto id = obs::detail_field(e.detail, "id");
     EXPECT_TRUE(id.has_value()) << category << ": " << e.detail;
     if (id.has_value()) ids.push_back(*id);
-  });
+  }
   return ids;
 }
 
 TEST(NetworkCausalTrace, StatsReconcileUnderDropDuplicateAndPartition) {
   sim::Scheduler sched;
   sim::Network net(sched, sim::Rng(7));
-  sim::Trace trace;
-  net.set_trace(&trace);
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
+  net.set_flight(&trace);
   net.attach(0, [](sim::NodeAddr, const std::string&) {});
   net.attach(1, [](sim::NodeAddr, const std::string&) {});
 
@@ -271,12 +343,12 @@ TEST(NetworkCausalTrace, StatsReconcileUnderDropDuplicateAndPartition) {
   EXPECT_EQ(stats.delivered, 8u);  // 4 sends x 2 copies.
 
   // Every aggregate count reconciles with per-message trace events.
-  EXPECT_EQ(trace.count("net.send"), stats.sent);
-  EXPECT_EQ(trace.count("net.drop"), stats.dropped);
-  EXPECT_EQ(trace.count("net.dup"), stats.duplicated);
-  EXPECT_EQ(trace.count("net.part"), stats.partitioned);
-  EXPECT_EQ(trace.count("net.dead"), stats.to_dead_node);
-  EXPECT_EQ(trace.count("net.deliver"), stats.delivered);
+  EXPECT_EQ(in_category(trace, "net.send").size(), stats.sent);
+  EXPECT_EQ(in_category(trace, "net.drop").size(), stats.dropped);
+  EXPECT_EQ(in_category(trace, "net.dup").size(), stats.duplicated);
+  EXPECT_EQ(in_category(trace, "net.part").size(), stats.partitioned);
+  EXPECT_EQ(in_category(trace, "net.dead").size(), stats.to_dead_node);
+  EXPECT_EQ(in_category(trace, "net.deliver").size(), stats.delivered);
 
   // Send ids are unique and monotonically increasing from 1.
   const auto send_ids = ids_in(trace, "net.send");
@@ -306,10 +378,10 @@ TEST(NetworkCausalTrace, StatsReconcileUnderDropDuplicateAndPartition) {
   }
 
   // Delivery events carry the sampled latency.
-  trace.for_each_in_category("net.deliver", [&](const sim::TraceEvent& e) {
+  for (const obs::FlightEvent& e : in_category(trace, "net.deliver")) {
     EXPECT_TRUE(obs::detail_field(e.detail, "latency").has_value())
         << e.detail;
-  });
+  }
 }
 
 TEST(NetworkCausalTrace, IdsAssignedEvenWithTracingOff) {

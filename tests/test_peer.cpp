@@ -64,7 +64,7 @@ struct PeerHarness {
   const fsm::StateMachine& machine;
   sim::Scheduler sched;
   sim::Network network;
-  sim::Trace trace;
+  obs::FlightRecorder trace{0, obs::FlightRecorder::Retention::kAll};
   std::unique_ptr<CommitPeer> peer;
   std::map<sim::NodeAddr, std::vector<WireMessage>> outgoing;
   std::vector<WireMessage> client_inbox;
@@ -293,9 +293,9 @@ ContendedRun run_contended(std::uint64_t seed) {
   MachineCache cache;
   sim::Scheduler sched;
   sim::Network network(sched, sim::Rng(seed), sim::LatencyModel{500, 5'000});
-  sim::Trace trace;
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
   obs::MetricsRegistry metrics;
-  network.set_trace(&trace);
+  network.set_flight(&trace);
   std::vector<sim::NodeAddr> addrs;
   for (sim::NodeAddr a = 0; a < kR; ++a) addrs.push_back(a);
   std::vector<std::unique_ptr<CommitPeer>> peers;
@@ -320,13 +320,13 @@ ContendedRun run_contended(std::uint64_t seed) {
   Digest trace_digest;
   Digest results;
   auto drain = [&] {
-    for (const sim::TraceEvent& e : trace.events()) {
-      trace_digest.add(e.time);
+    for (const obs::FlightEvent& e : trace.events()) {
+      trace_digest.add(e.t);
       trace_digest.add(e.node);
       trace_digest.add(e.category);
       trace_digest.add(e.detail);
     }
-    trace = sim::Trace();
+    trace.clear();
   };
   for (std::uint64_t i = 0; i < kGuids; ++i) {
     sched.schedule_at(i * kSpacing, [&, i] {
@@ -434,8 +434,10 @@ TEST(PeerTable, ContendedRunMatchesPinnedDigest) {
   EXPECT_GE(run.max_resident, 3u);
   // Pinned to the run of the std::map-per-GUID peer this table replaced:
   // sibling fan-out order, abort scan order and collection order are all
-  // observable, so any reordering changes these.
-  EXPECT_EQ(run.trace, 0x01a079d5a403c0c2ull);
+  // observable, so any reordering changes these. The trace digest reads
+  // the recorder's vocabulary (net.* with ids and routes, commit.instance/
+  // record/abort/veto); the others are unchanged since that run.
+  EXPECT_EQ(run.trace, 0x5e8973051e33c953ull);
   EXPECT_EQ(run.metrics, 0x9c6ab8fe088a626bull);
   EXPECT_EQ(run.state, 0x9168bac3eeb05f74ull);
 }

@@ -1,5 +1,6 @@
 // Discrete-event simulation substrate: scheduler ordering and cancellation,
-// network latency/drop/partition behaviour, deterministic RNG, tracing.
+// network latency/drop/partition behaviour, deterministic RNG, the
+// recorder's trace view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,14 +10,16 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/network.hpp"
 #include "sim/sequence.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
+#include "storage/cluster.hpp"
 
 namespace asa_repro::sim {
 namespace {
@@ -476,47 +479,83 @@ TEST(FlatMap, MatchesStdMapUnderRandomInsertAndErase) {
   }
 }
 
-// ---- Trace. ----
+// ---- The recorder's trace view. ----
 
 TEST(Trace, RecordsAndCounts) {
-  Trace trace;
-  trace.record(10, 1, "commit", "guid=5");
-  trace.record(20, 2, "abort", "guid=5");
-  trace.record(30, 1, "commit", "guid=6");
-  EXPECT_EQ(trace.events().size(), 3u);
-  EXPECT_EQ(trace.count("commit"), 2u);
-  EXPECT_EQ(trace.count("abort"), 1u);
-  const auto node1 = trace.filter(
-      [](const TraceEvent& e) { return e.node == 1; });
-  EXPECT_EQ(node1.size(), 2u);
+  // A keep-all recorder stores every event; its trace view reads them all
+  // in record order across lanes, while its flight view reads the same
+  // last `capacity` events per lane a ring recorder keeps.
+  obs::FlightRecorder trace(2, obs::FlightRecorder::Retention::kAll);
+  obs::FlightRecorder ring(2);
+  for (obs::FlightRecorder* r : {&trace, &ring}) {
+    r->record(10, 1, "commit.record", {{"guid", 5}});
+    r->record(20, 2, "commit.abort", {{"guid", 5}});
+    r->record(30, 1, "commit.record", {{"guid", 6}});
+    r->record(40, 1, "commit.record", {{"guid", 7}});
+  }
+  const std::vector<obs::FlightEvent> events = trace.events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(trace.total_recorded(), 4u);
+  const auto count = [&events](std::string_view category) {
+    return std::count_if(events.begin(), events.end(), [&](const auto& e) {
+      return e.category == category;
+    });
+  };
+  EXPECT_EQ(count("commit.record"), 3);
+  EXPECT_EQ(count("commit.abort"), 1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i);
+    EXPECT_EQ(events[i].t, 10 * (i + 1));
+  }
+  EXPECT_EQ(events[1].node, 2u);
+  EXPECT_EQ(events[3].detail, "guid=7");
+  // The ring evicted node 1's oldest event; the trace view kept it.
+  EXPECT_EQ(ring.events().size(), 3u);
+  EXPECT_EQ(trace.to_json().dump(), ring.to_json().dump());
+  ASSERT_EQ(trace.lane(1).size(), 2u);
+  EXPECT_EQ(trace.lane(1)[0].detail, "guid=6");
 }
 
 TEST(Trace, DisabledTraceRecordsNothing) {
-  Trace trace(false);
-  trace.record(1, 1, "x", "y");
-  EXPECT_TRUE(trace.events().empty());
+  // Tracing and the flight view both off: the cluster's recorder is off,
+  // components hold no recorder, and nothing is stored.
+  storage::ClusterConfig config;
+  config.nodes = 6;
+  storage::AsaCluster cluster(config);
+  cluster.version_history().append(storage::Guid::named("off"),
+                                   storage::Pid::of(storage::block_from("x")),
+                                   [](const commit::CommitResult&) {});
+  cluster.run();
+  EXPECT_FALSE(cluster.flight().enabled());
+  EXPECT_EQ(cluster.flight().total_recorded(), 0u);
+  EXPECT_TRUE(cluster.flight().events().empty());
 }
 
 TEST(Sequence, RendersArrowsAndNotes) {
-  Trace trace;
-  trace.record(10, 1, "recv", "vote from=2 update=7");
-  trace.record(20, 1, "recv", "commit from=3 update=7");
-  trace.record(30, 1, "commit", "guid=5 update=7");
-  trace.record(40, 2, "abort", "guid=5 update=9");
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
+  trace.record(10, 1, "net.deliver",
+               {{"id", 4}, {"from", 2}, {"to", 1}, {"latency", 9}});
+  trace.record(20, 1, "net.deliver",
+               {{"id", 5}, {"from", 3}, {"to", 1}, {"latency", 9}});
+  trace.record(30, 1, "commit.record",
+               {{"guid", 5}, {"update", 7}, {"request", 1}, {"latency", 30}});
+  trace.record(40, 2, "commit.abort",
+               {{"guid", 5}, {"update", 9}, {"request", 2}});
   const std::string mermaid = render_sequence_mermaid(trace);
   EXPECT_EQ(mermaid.find("sequenceDiagram"), 0u);
   EXPECT_NE(mermaid.find("participant node1"), std::string::npos);
   EXPECT_NE(mermaid.find("participant node3"), std::string::npos);
-  EXPECT_NE(mermaid.find("node2->>node1: vote u7"), std::string::npos);
-  EXPECT_NE(mermaid.find("node3->>node1: commit u7"), std::string::npos);
+  EXPECT_NE(mermaid.find("node2->>node1: msg #4"), std::string::npos);
+  EXPECT_NE(mermaid.find("node3->>node1: msg #5"), std::string::npos);
   EXPECT_NE(mermaid.find("Note over node1: commit u7"), std::string::npos);
   EXPECT_NE(mermaid.find("Note over node2: abort u9"), std::string::npos);
 }
 
 TEST(Sequence, TruncatesAtMaxEvents) {
-  Trace trace;
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
   for (int i = 0; i < 10; ++i) {
-    trace.record(i, 0, "recv", "vote from=1 update=1");
+    trace.record(static_cast<std::uint64_t>(i), 0, "net.deliver",
+                 {{"id", 1}, {"from", 1}, {"to", 0}, {"latency", 1}});
   }
   SequenceOptions options;
   options.max_events = 3;
@@ -531,19 +570,30 @@ TEST(Sequence, TruncatesAtMaxEvents) {
 }
 
 TEST(Sequence, IgnoresUnparseableEvents) {
-  Trace trace;
-  trace.record(1, 0, "recv", "garbage with no fields");
-  trace.record(2, 0, "instance", "guid=1 update=2 created");
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
+  trace.record(1, 0, "net.deliver", std::string("garbage with no fields"));
+  trace.record(2, 0, "commit.instance", {{"guid", 1}, {"update", 2}});
   const std::string mermaid = render_sequence_mermaid(trace);
-  EXPECT_EQ(mermaid.find("->>"), std::string::npos);
+  EXPECT_EQ(mermaid, "sequenceDiagram\n");
 }
 
 TEST(Trace, DumpFormatsLines) {
-  Trace trace;
-  trace.record(10, 3, "commit", "guid=9");
+  // The asa-trace/2 body: one JSON object per event, in record order
+  // across lanes, the cluster lane by its numeric id.
+  obs::FlightRecorder trace(0, obs::FlightRecorder::Retention::kAll);
+  trace.record(10, 3, "commit.record", {{"guid", 9}});
+  trace.record(12, obs::FlightRecorder::kClusterLane, "churn",
+               std::string("join node=4"));
+  trace.record(15, 1, "journal.append", {{"guid", 9}}, "ok");
   std::ostringstream out;
-  trace.dump(out);
-  EXPECT_EQ(out.str(), "[10us] node 3 commit: guid=9\n");
+  trace.write_jsonl(out);
+  EXPECT_EQ(out.str(),
+            "{\"t\":10,\"node\":3,\"cat\":\"commit.record\","
+            "\"detail\":\"guid=9\"}\n"
+            "{\"t\":12,\"node\":4294967295,\"cat\":\"churn\","
+            "\"detail\":\"join node=4\"}\n"
+            "{\"t\":15,\"node\":1,\"cat\":\"journal.append\","
+            "\"detail\":\"guid=9 ok\"}\n");
 }
 
 TEST(Scheduler, CancelledIdDoesNotAffectLaterEvents) {

@@ -85,7 +85,7 @@ void usage() {
       "  --out DIR          directory for replay files (default .)\n"
       "  --metrics-out FILE campaign-aggregated metrics (asa-metrics/1)\n"
       "  --trace-out FILE   concatenated per-seed causal traces, each\n"
-      "                     prefixed by a campaign seed marker (asa-trace/1)\n"
+      "                     prefixed by a campaign seed marker (asa-trace/2)\n"
       "  --spans-out FILE   campaign-aggregated commit-path spans\n"
       "                     (asa-span/1), fed to asareport --critical-path\n"
       "  --postmortem-dir D on invariant violation or crash, write an\n"
@@ -389,11 +389,12 @@ int main(int argc, char** argv) {
   // and histogram buckets add), per-seed traces concatenate behind a
   // campaign seed marker. Both stay disabled (and free) unless requested.
   obs::MetricsRegistry campaign_metrics(!metrics_out.empty());
-  sim::Trace campaign_trace(!trace_out.empty());
+  obs::FlightRecorder campaign_trace(0, obs::FlightRecorder::Retention::kAll);
   obs::SpanRecorder campaign_spans;
   obs::MetricsRegistry* metrics_sink =
       metrics_out.empty() ? nullptr : &campaign_metrics;
-  sim::Trace* trace_sink = trace_out.empty() ? nullptr : &campaign_trace;
+  obs::FlightRecorder* trace_sink =
+      trace_out.empty() ? nullptr : &campaign_trace;
   obs::SpanRecorder* spans_sink = spans_out.empty() ? nullptr : &campaign_spans;
 
   std::uint64_t violating_seeds = 0;
@@ -489,11 +490,11 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << trace_out << "\n";
       return 2;
     }
-    out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asachaos\",\"seed0\":"
+    out << "{\"schema\":\"asa-trace/2\",\"tool\":\"asachaos\",\"seed0\":"
         << seed0 << ",\"seeds\":" << seeds << "}\n";
-    campaign_trace.dump_jsonl(out);
+    campaign_trace.write_jsonl(out);
     std::cout << "trace written to " << trace_out << " ("
-              << campaign_trace.events().size() << " events)\n";
+              << campaign_trace.total_recorded() << " events)\n";
   }
   if (!spans_out.empty()) {
     const obs::Meta meta{

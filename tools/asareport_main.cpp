@@ -42,7 +42,7 @@ void usage() {
       "  --metrics FILE   asa-metrics/1, asa-findings/1, asa-span/1 or\n"
       "                   asa-postmortem/1 JSON document\n"
       "  --spans FILE     asa-span/1 JSON document (from --spans-out)\n"
-      "  --trace FILE     asa-trace/1 JSONL event stream (optional,\n"
+      "  --trace FILE     asa-trace/2 (or /1) JSONL event stream (optional,\n"
       "                   metrics rendering only)\n"
       "  --top K          slowest commit instances to list (default 10)\n"
       "  --critical-path  attribute commit latency to protocol phases\n"
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
             obs::parse_trace_jsonl(*trace_text);
         if (!parsed.has_value()) {
           std::cerr << "asareport: " << trace_path
-                    << " is not a valid asa-trace/1 stream\n";
+                    << " is not a valid asa-trace stream\n";
           return 1;
         }
         trace = std::move(*parsed);

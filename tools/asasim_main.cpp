@@ -16,6 +16,7 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "commit/replay.hpp"
@@ -59,9 +60,9 @@ void usage() {
       "                       agreed reads (default 0)\n"
       "  --open-loop          open-loop arrivals for --writers\n"
       "  --seed S             simulation seed (default 42)\n"
-      "  --trace              dump commit/abort trace events\n"
+      "  --trace              dump recorded commit/abort events\n"
       "  --metrics-out FILE   write run metrics (asa-metrics/1 JSON)\n"
-      "  --trace-out FILE     write causal event trace (asa-trace/1 JSONL)\n"
+      "  --trace-out FILE     write causal event trace (asa-trace/2 JSONL)\n"
       "  --spans-out FILE     write commit-path spans (asa-span/1 JSON),\n"
       "                       fed to asareport --critical-path\n"
       "  --flight N           per-node flight recorder, N recent events\n"
@@ -502,10 +503,11 @@ int main(int argc, char** argv) {
 
   if (dump_trace) {
     std::cout << "\ncommit/abort trace:\n";
-    for (const auto& e : cluster.trace().events()) {
-      if (e.category == "commit" || e.category == "abort") {
-        std::cout << "  [" << e.time << "us] node" << e.node << " "
-                  << e.category << " " << e.detail << "\n";
+    for (const obs::FlightEvent& e : cluster.flight().events()) {
+      const std::string_view category = e.category;
+      if (category == "commit.record" || category == "commit.abort") {
+        std::cout << "  [" << e.t << "us] node" << e.node << " "
+                  << category << " " << e.detail << "\n";
       }
     }
   }
@@ -534,11 +536,11 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << trace_out << "\n";
       return 2;
     }
-    out << "{\"schema\":\"asa-trace/1\",\"tool\":\"asasim\",\"seed\":"
+    out << "{\"schema\":\"asa-trace/2\",\"tool\":\"asasim\",\"seed\":"
         << config.seed << "}\n";
-    cluster.trace().dump_jsonl(out);
+    cluster.flight().write_jsonl(out);
     std::cout << "trace written to " << trace_out << " ("
-              << cluster.trace().events().size() << " events)\n";
+              << cluster.flight().total_recorded() << " events)\n";
   }
   if (!spans_out.empty()) {
     const obs::Meta meta{
@@ -558,7 +560,7 @@ int main(int argc, char** argv) {
     std::cout << "spans written to " << spans_out << " ("
               << cluster.spans().spans().size() << " spans)\n";
   }
-  if (cluster.flight().enabled()) {
+  if (cluster.flight().capacity() > 0) {
     std::cout << "\nflight recorder (" << cluster.flight().total_recorded()
               << " events recorded, last " << cluster.flight().capacity()
               << " per node kept):\n";
